@@ -48,7 +48,6 @@ from repro.cascade import (  # noqa: E402
     TIER_MODEL,
     CascadePolicy,
     Tier0Linker,
-    cascade_predict,
 )
 from repro.cli import main as repro_main  # noqa: E402
 from repro.core import BootlegAnnotator  # noqa: E402
@@ -213,7 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         corpus, "val", setup["vocab"], world.candidate_map, 6, kgs=[world.kg]
     )
     full_records = predict(model, val)
-    cascade_records = cascade_predict(model, val, policy, kb=world.kb)
+    cascade_records = BootlegAnnotator(
+        model, setup["vocab"], world.candidate_map, world.kb,
+        kgs=[world.kg], num_candidates=6, batch_size=64, cascade=policy,
+    ).predict_sentences(corpus.sentences("val"))
     full_path = args.results_dir / "cascade_gate_full.json"
     cascade_path = args.results_dir / "cascade_gate_cascade.json"
     RunReport.build(

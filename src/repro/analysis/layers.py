@@ -55,8 +55,8 @@ class ForbiddenEdge:
 #   errors, utils                      (leaf helpers)
 #   nn                                 (autograd + modules)
 #   kb, corpus, text, store            (data + payload planes)
-#   core, baselines, eval, weaklabel,  (models, training, scoring;
-#   cascade                             tiered inference over kb+eval)
+#   cascade                            (tier-0 policy + linker over kb)
+#   core, baselines, eval, weaklabel   (models, training, scoring)
 #   downstream, obs, analysis          (consumers + tooling)
 #   parallel                           (process fan-out over core)
 #   cli                                (composition root)
@@ -83,8 +83,14 @@ FORBIDDEN_EDGES: tuple[ForbiddenEdge, ...] = (
         ),
         targets=("repro.parallel",),
         reason="process fan-out sits above the model/data layers; only "
-        "repro.core (deferred prefetch wiring) and the CLI may drive it "
-        "— the cascade takes a predict_fn callable instead",
+        "repro.core (deferred prefetch wiring) and the CLI may drive it",
+    ),
+    ForbiddenEdge(
+        importers=("repro.cascade",),
+        targets=("repro.core",),
+        reason="the cascade is policy plus tier-0 linker beneath the "
+        "model; repro.core's annotator runs it, so an import back "
+        "would cycle",
     ),
     ForbiddenEdge(
         importers=(

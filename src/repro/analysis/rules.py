@@ -1000,8 +1000,8 @@ def check_provenance_confinement(ctx: FileContext) -> list[Finding]:
                     "RA405",
                     node,
                     "DecisionRecord constructed outside repro.obs.provenance; "
-                    "capture through provenance.record_decision/"
-                    "record_prediction so the audit schema has one owner",
+                    "capture through provenance.record_decision so the "
+                    "audit schema has one owner",
                 )
             )
             continue

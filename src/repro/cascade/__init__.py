@@ -1,12 +1,13 @@
 """Tiered heuristic→model inference cascade (docs/CASCADE.md).
 
 Head mentions are overwhelmingly resolvable by alias popularity alone;
-the model earns its cost on the tail. This package answers
-high-confidence mentions from the candidate map's prior in microseconds
-(:class:`Tier0Linker`), abstains by a configurable
-:class:`CascadePolicy`, and escalates only the rest into full model
-batches (:func:`cascade_predict`; ``BootlegAnnotator`` consumes the
-same linker for the annotation path).
+the model earns its cost on the tail. This package is the policy and
+the linker: :class:`Tier0Linker` answers high-confidence mentions from
+the candidate map's prior in microseconds and abstains by a
+configurable :class:`CascadePolicy`. ``BootlegAnnotator`` runs the one
+decision path over it, shared by annotate and evaluate: tier 0 sees
+the mentions the encoder keeps (those ending within its token window),
+and only the sentences with an abstention are batched into the model.
 """
 
 from repro.cascade.policy import (
@@ -21,7 +22,6 @@ from repro.cascade.policy import (
     TIER_MODEL,
     CascadePolicy,
 )
-from repro.cascade.predict import cascade_predict
 from repro.cascade.tier0 import (
     Tier0Decision,
     Tier0Linker,
@@ -42,7 +42,6 @@ __all__ = [
     "CascadePolicy",
     "Tier0Decision",
     "Tier0Linker",
-    "cascade_predict",
     "reason_counts",
     "record_cascade_metrics",
 ]

@@ -5,8 +5,7 @@ binary search into :class:`~repro.kb.aliases.CandidateMap`'s flat index
 yields the alias's candidates already ranked by popularity prior, and
 the :class:`~repro.cascade.policy.CascadePolicy` decides whether the
 top candidate is confident enough to stand. Everything else escalates
-to the full model (see :mod:`repro.cascade.predict` and
-``BootlegAnnotator``).
+to the full model (see ``BootlegAnnotator``).
 
 Decisions are cached per normalized surface form — a corpus mentions
 the same aliases over and over, so the steady-state cost of a confident
@@ -66,16 +65,12 @@ class Tier0Decision:
         return TIER_HEURISTIC if self.answered else TIER_MODEL
 
 
-def reason_counts(decisions) -> dict[str, int]:
-    """Tally decision reasons for ``record_cascade_metrics``.
-
-    Accepts any (nested or flat) iterable of :class:`Tier0Decision`;
-    callers that already hold decisions-per-document pass the nested
-    shape straight through.
-    """
+def reason_counts(decisions_per_sentence) -> dict[str, int]:
+    """Tally decision reasons for ``record_cascade_metrics``, given the
+    :class:`Tier0Decision` lists of a batch of sentences."""
     counts: dict[str, int] = {}
-    for entry in decisions:
-        for decision in entry if isinstance(entry, (list, tuple)) else (entry,):
+    for decisions in decisions_per_sentence:
+        for decision in decisions:
             counts[decision.reason] = counts.get(decision.reason, 0) + 1
     return counts
 
@@ -88,11 +83,12 @@ def record_cascade_metrics(
 ) -> None:
     """Emit the cascade telemetry for one tier-0 pass.
 
-    Shared by the annotator and the evaluate path so both report the
-    same series: ``cascade.tier0_answered`` / ``cascade.escalated``
-    counters and the ``cascade.tier0_seconds`` histogram. ``reasons``
-    (a ``reason -> count`` tally from :func:`reason_counts`) additionally
-    breaks escalations/abstentions down as
+    Emitted once per tier-0 pass of the decision path that annotate
+    and evaluate share: ``cascade.tier0_answered`` /
+    ``cascade.escalated`` counters and the ``cascade.tier0_seconds``
+    histogram. ``reasons`` (a ``reason -> count`` tally from
+    :func:`reason_counts`) additionally breaks escalations/abstentions
+    down as
     ``cascade.escalated{reason=…}`` labeled counters; answered reasons
     (``confident``/``unknown-alias``) are skipped — they already land in
     the answered total.
@@ -138,9 +134,6 @@ class Tier0Linker:
             decision = self._decide(key)
             self._cache[key] = decision
         return decision
-
-    def resolve_batch(self, surfaces: list[str]) -> list[Tier0Decision]:
-        return [self.resolve(surface) for surface in surfaces]
 
     # ------------------------------------------------------------------
     def _decide(self, alias: str) -> Tier0Decision:

@@ -27,10 +27,10 @@ import numpy as np
 
 import repro.obs as obs
 from repro.obs import provenance
-from repro.cascade import CascadePolicy, cascade_predict
+from repro.cascade import CascadePolicy
 from repro.core.annotator import BootlegAnnotator
 from repro.core.model import MODEL_PRESETS, BootlegConfig, BootlegModel
-from repro.core.trainer import TrainConfig, Trainer, predict
+from repro.core.trainer import TrainConfig, Trainer
 from repro.corpus.dataset import NedDataset, build_vocabulary
 from repro.corpus.generator import CorpusConfig, generate_corpus
 from repro.corpus.io import load_corpus, save_corpus
@@ -490,46 +490,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _maybe_profile(model, args)
     _configure_store(model, args, train_counts)
     counts = EntityCounts.from_corpus(corpus, world.num_entities)
-    dataset = NedDataset(
-        corpus, args.split, vocab, world.candidate_map,
-        config.num_candidates, kgs=[world.kg],
-    )
     policy = _cascade_policy(args)
-    started = time.perf_counter()
-    if policy is not None:
-        predict_fn = None
-        if args.workers > 1:
-            # The cascade owns batching (it packs only escalated
-            # sentences); the pool only runs whatever batches it gets.
-            from repro.parallel import predict_batches as parallel_predict
-
-            def predict_fn(pool_model, batches):
-                return parallel_predict(
-                    pool_model,
-                    batches,
-                    workers=args.workers,
-                    telemetry_interval=_pool_interval(args),
-                )
-
-        records = cascade_predict(
-            model,
-            dataset,
-            policy,
-            kb=world.kb,
-            batch_size=args.batch_size,
-            predict_fn=predict_fn,
-        )
-    elif args.workers > 1:
+    annotator = BootlegAnnotator(
+        model, vocab, world.candidate_map, world.kb,
+        kgs=[world.kg], num_candidates=config.num_candidates,
+        batch_size=args.batch_size, cascade=policy,
+    )
+    predict_fn = None
+    if args.workers > 1:
+        # The annotator packs the batches; the pool only runs them.
         from repro.parallel import predict_batches as parallel_predict
 
-        records = parallel_predict(
-            model,
-            dataset.batches(args.batch_size),
-            workers=args.workers,
-            telemetry_interval=_pool_interval(args),
-        )
-    else:
-        records = predict(model, dataset)
+        def predict_fn(pool_model, batches):
+            return parallel_predict(
+                pool_model,
+                batches,
+                workers=args.workers,
+                telemetry_interval=_pool_interval(args),
+            )
+
+    started = time.perf_counter()
+    records = annotator.predict_sentences(
+        corpus.sentences(args.split), predict_fn=predict_fn
+    )
     wall_seconds = time.perf_counter() - started
     if policy is not None:
         answered = sum(1 for r in records if getattr(r, "tier", "model") != "model")

@@ -9,13 +9,19 @@ index built once at construction (mention detection probes one dict
 bucket per token instead of string-joining every span), a batched
 ``annotate_batch`` that packs many documents into shared
 :class:`NedDataset` batches, and collation buffers reused across calls.
+
+One routine turns mentions into linking decisions: tier 0 first when a
+cascade policy is set, then the model over the sentences that still
+need it. ``annotate_batch`` and :meth:`BootlegAnnotator.predict_sentences`
+(what ``repro evaluate`` scores) both format its outcomes, so the
+evaluated decisions are the annotated ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -32,11 +38,17 @@ from repro.cascade import (
 )
 from repro.core.trainer import predict_batches
 from repro.obs import provenance
-from repro.corpus.dataset import CollateBuffers, NedDataset
+from repro.corpus.dataset import (
+    CANDIDATE_PAD,
+    CollateBuffers,
+    NedDataset,
+    encodable_mentions,
+)
 from repro.corpus.document import Corpus, Mention, Page, Sentence
 from repro.corpus.tokenizer import tokenize
 from repro.corpus.vocab import Vocabulary
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorpusError
+from repro.eval.predictions import MentionPrediction
 from repro.kb.aliases import CandidateMap, normalize_alias
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.knowledge_graph import KnowledgeGraph
@@ -188,9 +200,7 @@ class BootlegAnnotator:
         mention_spans: Sequence[list[tuple[int, int]] | None] | None,
         provenance_base: int = 0,
     ) -> list[list[AnnotatedMention]]:
-        tokens_per_doc: list[list[str]] = []
-        spans_per_doc: list[list[tuple[int, int]]] = []
-        mentions_per_doc: list[list[Mention]] = []
+        sentences: list[Sentence] = []
         for doc_index, text in enumerate(texts):
             tokens = tokenize(text)
             if not tokens:
@@ -203,102 +213,223 @@ class BootlegAnnotator:
                 if not 0 <= start < end <= len(tokens):
                     raise ConfigError(f"invalid mention span ({start}, {end})")
                 surface = " ".join(tokens[start:end])
-                # Gold is unknown at inference; use a placeholder id of 0 —
-                # the dataset only uses it for supervision flags we ignore.
-                mentions.append(Mention(start, end, surface, 0))
-            tokens_per_doc.append(tokens)
-            spans_per_doc.append(list(spans))
-            mentions_per_doc.append(mentions)
+                # Gold is unknown at inference: CANDIDATE_PAD matches no
+                # candidate and keeps a gold id out of provenance.
+                mentions.append(Mention(start, end, surface, CANDIDATE_PAD))
+            try:
+                # The sentence id keys the mention's provenance record.
+                sentences.append(
+                    Sentence(provenance_base + doc_index, 0, tokens, mentions)
+                )
+            except CorpusError as error:  # overlapping spans
+                raise ConfigError(f"invalid mention spans: {error}") from error
         observing = obs.enabled
-        num_detected = sum(len(spans) for spans in spans_per_doc)
+        num_detected = sum(len(sentence.mentions) for sentence in sentences)
         if observing:
             obs.metrics.counter("annotator.documents").inc(len(texts))
             obs.metrics.counter("annotator.mentions_detected").inc(num_detected)
         results: list[list[AnnotatedMention]] = [[] for _ in texts]
-        if not any(spans_per_doc):
+        if not num_detected:
             return results
-        if self._tier0 is None:
-            covered = self._annotate_full(
-                list(range(len(texts))),
-                tokens_per_doc,
-                mentions_per_doc,
-                spans_per_doc,
-                results,
-                provenance_base,
-            )
-        else:
-            covered = self._annotate_cascade(
-                tokens_per_doc,
-                mentions_per_doc,
-                spans_per_doc,
-                results,
-                provenance_base,
-            )
+        covered = 0
+        for annotations, (mentions, outcomes) in zip(
+            results, self._decide(sentences)
+        ):
+            for mention, outcome in zip(mentions, outcomes):
+                if isinstance(outcome, Tier0Decision):
+                    if outcome.entity_id >= 0:
+                        covered += 1
+                        annotations.append(
+                            self._mention_from_decision(outcome, mention)
+                        )
+                    continue
+                if int((outcome.candidate_ids >= 0).sum()) > 0:
+                    covered += 1
+                if outcome.predicted_entity_id >= 0:
+                    annotations.append(self._mention_from_record(outcome, mention))
         if observing:
             # Candidate coverage: fraction of detected mentions for which
             # the candidate map yielded at least one candidate entity.
             obs.metrics.counter("annotator.mentions_covered").inc(covered)
-            if num_detected:
-                obs.metrics.gauge("annotator.candidate_coverage").set(
-                    covered / num_detected
-                )
+            obs.metrics.gauge("annotator.candidate_coverage").set(
+                covered / num_detected
+            )
             obs.metrics.counter("annotator.mentions_annotated").inc(
                 sum(len(annotations) for annotations in results)
             )
         return results
 
-    def _model_records(
+    def predict_sentences(
         self,
-        doc_indices: Sequence[int],
-        tokens_per_doc: Sequence[list[str]],
-        mentions_per_doc: Sequence[list[Mention]],
-    ) -> list:
-        """Run the full model over the selected documents.
+        sentences: Sequence[Sentence],
+        predict_fn: Callable | None = None,
+    ) -> list[MentionPrediction]:
+        """Prediction records for labelled sentences (``repro evaluate``).
 
-        Documents are packed in the given order with the annotator's
-        batch size and shared collation buffers, so running the same
-        document list through this method always builds the same batch
-        compositions — the byte-identity contract the cascade's
-        escalation path relies on (docs/CASCADE.md). Returned records
-        carry ``sentence_id`` equal to the *position* in
-        ``doc_indices``.
+        One record per encodable mention, in sentence then mention
+        order (the order :func:`repro.core.trainer.predict` yields),
+        each attributed to its ``tier``. Tier-0 answers are padded into
+        the model's ``(K,)`` candidate arrays. ``predict_fn(model,
+        batches)`` runs the model batches; pass
+        :func:`repro.parallel.predict_batches` bound to a worker count
+        to shard them across a pool.
         """
-        pages = [
-            Page(
-                position,
-                0,
-                "test",
-                [
-                    Sentence(
-                        position,
-                        position,
-                        tokens_per_doc[doc],
-                        mentions_per_doc[doc],
-                    )
-                ],
-            )
-            for position, doc in enumerate(doc_indices)
-        ]
-        dataset = NedDataset(
-            Corpus(pages),
-            "test",
-            self.vocab,
-            self.candidate_map,
-            self.num_candidates,
-            kgs=self.kgs,
-        )
-        if len(dataset) == 0:
-            return []
-        # The inner capture would key records by these positional
-        # sentence ids; the annotator re-captures under document-keyed
-        # ids instead (see _capture_annotation).
-        with provenance.suppress():
-            return predict_batches(
-                self.model,
-                dataset.batches(self.batch_size, buffers=self._collate_buffers),
-            )
+        records: list[MentionPrediction] = []
+        for sentence, (mentions, outcomes) in zip(
+            sentences, self._decide(sentences, predict_fn)
+        ):
+            for index, (mention, outcome) in enumerate(zip(mentions, outcomes)):
+                if isinstance(outcome, Tier0Decision):
+                    outcome = self._tier0_record(sentence, index, mention, outcome)
+                records.append(outcome)
+        return records
 
-    def _mention_from_record(self, record, span: tuple[int, int]) -> AnnotatedMention:
+    def _decide(
+        self,
+        sentences: Sequence[Sentence],
+        predict_fn: Callable | None = None,
+    ) -> list[tuple[list[Mention], list[Tier0Decision | MentionPrediction]]]:
+        """The one path from mentions to linking decisions.
+
+        Returns, per sentence, the mentions the encoder keeps
+        (:func:`encodable_mentions`) and their outcomes: the cached
+        :class:`Tier0Decision` where the cascade policy answered, else
+        the model's :class:`MentionPrediction`. Only sentences with an
+        abstention (every sentence without a policy) are encoded; they
+        are packed in sentence order into ``batch_size`` batches over
+        the shared collation buffers, so a sentence list always builds
+        the same batches (the byte-identity contract of
+        docs/CASCADE.md). Confident mentions of an escalated sentence
+        ride along as model context but keep their tier-0 answers.
+
+        ``predict_fn`` defaults to this module's ``predict_batches``,
+        looked up at call time.
+        """
+        mentions_per_sentence = [encodable_mentions(s) for s in sentences]
+        tier0 = self._tier0
+        if tier0 is None:
+            decisions_per_sentence = None
+            escalates = [True] * len(sentences)
+        else:
+            started = time.perf_counter()
+            resolve = tier0.resolve
+            decisions_per_sentence = [
+                [resolve(mention.surface) for mention in mentions]
+                for mentions in mentions_per_sentence
+            ]
+            tier0_elapsed = time.perf_counter() - started
+            escalates = [
+                not all(decision.answered for decision in decisions)
+                for decisions in decisions_per_sentence
+            ]
+            num_mentions = sum(map(len, decisions_per_sentence))
+            num_escalated = sum(
+                not decision.answered
+                for decisions in decisions_per_sentence
+                for decision in decisions
+            )
+            record_cascade_metrics(
+                num_mentions - num_escalated,
+                num_escalated,
+                tier0_elapsed,
+                reasons=reason_counts(decisions_per_sentence),
+            )
+        escalated = [s for s, up in zip(sentences, escalates) if up]
+        model_records = iter(())
+        if escalated:
+            dataset = NedDataset(
+                Corpus([Page(0, 0, "test", escalated)]),
+                "test",
+                self.vocab,
+                self.candidate_map,
+                self.num_candidates,
+                kgs=self.kgs,
+            )
+            if len(dataset):
+                run = predict_fn if predict_fn is not None else predict_batches
+                model_records = iter(
+                    run(
+                        self.model,
+                        dataset.batches(
+                            self.batch_size, buffers=self._collate_buffers
+                        ),
+                    )
+                )
+        decided = []
+        for index, mentions in enumerate(mentions_per_sentence):
+            decisions = (
+                decisions_per_sentence[index]
+                if decisions_per_sentence is not None
+                else None
+            )
+            if not escalates[index]:
+                decided.append((mentions, decisions))
+                continue
+            # The model emits one record per encoded mention, in order.
+            outcomes = [next(model_records) for _ in mentions]
+            if decisions is not None:
+                outcomes = [
+                    decision if decision.answered else record
+                    for decision, record in zip(decisions, outcomes)
+                ]
+            decided.append((mentions, outcomes))
+        if decisions_per_sentence is not None and obs.enabled and provenance.active:
+            seconds = tier0_elapsed / max(1, num_mentions)
+            for sentence, (mentions, outcomes), decisions in zip(
+                sentences, decided, decisions_per_sentence
+            ):
+                for index, (mention, decision, outcome) in enumerate(
+                    zip(mentions, decisions, outcomes)
+                ):
+                    _capture_tier0(
+                        sentence.sentence_id,
+                        index,
+                        mention,
+                        decision,
+                        outcome,
+                        seconds,
+                    )
+        return decided
+
+    def _tier0_record(
+        self,
+        sentence: Sentence,
+        mention_index: int,
+        mention: Mention,
+        decision: Tier0Decision,
+    ) -> MentionPrediction:
+        """A tier-0 answer shaped like the model's record: (K,) candidate
+        arrays padded with ``CANDIDATE_PAD``, priors in prior order."""
+        k = self.num_candidates
+        ids = decision.candidate_ids
+        candidate_ids = np.full(k, CANDIDATE_PAD, dtype=np.int64)
+        # Pinned to float64 like predict_batches' records.
+        candidate_scores = np.zeros(k, dtype=np.float64)  # repro-lint: disable=RA201
+        candidate_ids[: ids.shape[0]] = ids
+        candidate_scores[: ids.shape[0]] = decision.candidate_scores
+        gold = int(mention.gold_entity_id)
+        return MentionPrediction(
+            sentence_id=sentence.sentence_id,
+            mention_index=mention_index,
+            surface=mention.surface,
+            gold_entity_id=gold,
+            predicted_entity_id=decision.entity_id,
+            candidate_ids=candidate_ids,
+            candidate_scores=candidate_scores,
+            # NedDataset's Section 4.1 filter over the same top-K slate.
+            evaluable=(
+                ids.shape[0] > 1
+                and not mention.is_weak_label
+                and bool((ids == gold).any())
+            ),
+            is_weak=mention.is_weak_label,
+            pattern=sentence.pattern,
+            tier=TIER_HEURISTIC,
+        )
+
+    def _mention_from_record(
+        self, record: MentionPrediction, mention: Mention
+    ) -> AnnotatedMention:
         order = np.argsort(-record.candidate_scores)
         ranked = [
             (
@@ -309,9 +440,9 @@ class BootlegAnnotator:
             if record.candidate_ids[i] >= 0
         ]
         return AnnotatedMention(
-            start=span[0],
-            end=span[1],
-            surface=record.surface,
+            start=mention.start,
+            end=mention.end,
+            surface=mention.surface,
             entity_id=record.predicted_entity_id,
             entity_title=self.kb.entity(record.predicted_entity_id).title,
             score=float(record.candidate_scores.max()),
@@ -320,7 +451,7 @@ class BootlegAnnotator:
         )
 
     def _mention_from_decision(
-        self, decision: Tier0Decision, span: tuple[int, int], surface: str
+        self, decision: Tier0Decision, mention: Mention
     ) -> AnnotatedMention:
         ranked = [
             (self.kb.entity(int(entity_id)).title, float(score))
@@ -329,9 +460,9 @@ class BootlegAnnotator:
             )
         ]
         return AnnotatedMention(
-            start=span[0],
-            end=span[1],
-            surface=surface,
+            start=mention.start,
+            end=mention.end,
+            surface=mention.surface,
             entity_id=decision.entity_id,
             entity_title=self.kb.entity(decision.entity_id).title,
             score=decision.confidence,
@@ -339,195 +470,54 @@ class BootlegAnnotator:
             tier=TIER_HEURISTIC,
         )
 
-    def _annotate_full(
-        self,
-        doc_indices: list[int],
-        tokens_per_doc: Sequence[list[str]],
-        mentions_per_doc: Sequence[list[Mention]],
-        spans_per_doc: Sequence[list[tuple[int, int]]],
-        results: list[list[AnnotatedMention]],
-        provenance_base: int = 0,
-    ) -> int:
-        """Full-model path over every document; returns covered count."""
-        started = time.perf_counter()
-        records = self._model_records(
-            doc_indices, tokens_per_doc, mentions_per_doc
-        )
-        per_mention = (time.perf_counter() - started) / max(1, len(records))
-        covered = sum(
-            1 for r in records if int((r.candidate_ids >= 0).sum()) > 0
-        )
-        for record in records:
-            doc = doc_indices[record.sentence_id]
-            self._capture_annotation(
-                provenance_base + doc,
-                record.mention_index,
-                record=record,
-                decision=None,
-                seconds=per_mention,
+
+def _capture_tier0(
+    sentence_id: int,
+    mention_index: int,
+    mention: Mention,
+    decision: Tier0Decision,
+    outcome: Tier0Decision | MentionPrediction,
+    seconds: float,
+) -> None:
+    """The tier-0 half of one mention's provenance record.
+
+    An escalated mention's model half was recorded by
+    ``predict_batches``; its priors are re-aligned onto the model's
+    candidate list by id so ``prior_scores`` stays parallel to
+    ``candidate_ids``. A mention tier 0 answered gets the whole record
+    from the decision, replacing any model-tier fields it picked up
+    riding along in an escalated sentence.
+    """
+    if obs.enabled and provenance.active:
+        fields: dict = {
+            "reason": decision.reason,
+            "type_veto": decision.reason == REASON_TYPE_VETO,
+        }
+        if decision.answered:
+            gold = mention.gold_entity_id
+            fields.update(
+                surface=mention.surface,
+                alias=normalize_alias(mention.surface),
+                tier=TIER_HEURISTIC,
+                candidate_ids=decision.candidate_ids,
+                prior_scores=decision.candidate_scores,
+                model_scores=[],
+                predicted_entity_id=decision.entity_id,
+                gold_entity_id=gold if gold >= 0 else None,
+                margin=decision.margin,
+                confidence=decision.confidence,
+                seconds=seconds,
             )
-            if record.predicted_entity_id < 0:
-                continue
-            span = spans_per_doc[doc][record.mention_index]
-            results[doc].append(self._mention_from_record(record, span))
-        return covered
-
-    def _annotate_cascade(
-        self,
-        tokens_per_doc: Sequence[list[str]],
-        mentions_per_doc: Sequence[list[Mention]],
-        spans_per_doc: Sequence[list[tuple[int, int]]],
-        results: list[list[AnnotatedMention]],
-        provenance_base: int = 0,
-    ) -> int:
-        """Tier-0 pass + escalated-documents model pass.
-
-        A document escalates when any of its mentions abstains; its
-        confident mentions ride along as model context (collective
-        disambiguation reads cross-mention candidates) but keep their
-        tier-0 answers. Returns the covered-mention count.
-        """
-        started = time.perf_counter()
-        decisions_per_doc = [
-            [self._tier0.resolve(m.surface) for m in mentions]
-            for mentions in mentions_per_doc
-        ]
-        num_mentions = sum(len(d) for d in decisions_per_doc)
-        num_escalated = sum(
-            1
-            for decisions in decisions_per_doc
-            for decision in decisions
-            if not decision.answered
-        )
-        tier0_elapsed = time.perf_counter() - started
-        record_cascade_metrics(
-            num_mentions - num_escalated,
-            num_escalated,
-            tier0_elapsed,
-            reasons=reason_counts(decisions_per_doc),
-        )
-        tier0_seconds = tier0_elapsed / max(1, num_mentions)
-        escalated_docs = [
-            doc
-            for doc, decisions in enumerate(decisions_per_doc)
-            if any(not decision.answered for decision in decisions)
-        ]
-        position_of = {doc: pos for pos, doc in enumerate(escalated_docs)}
-        records_by_key = {}
-        model_started = time.perf_counter()
-        if escalated_docs:
-            for record in self._model_records(
-                escalated_docs, tokens_per_doc, mentions_per_doc
-            ):
-                records_by_key[(record.sentence_id, record.mention_index)] = (
-                    record
+        else:
+            prior_by_id = dict(
+                zip(
+                    decision.candidate_ids.tolist(),
+                    decision.candidate_scores.tolist(),
                 )
-        model_seconds = (time.perf_counter() - model_started) / max(
-            1, len(records_by_key)
-        )
-        covered = 0
-        for doc, decisions in enumerate(decisions_per_doc):
-            for index, decision in enumerate(decisions):
-                span = spans_per_doc[doc][index]
-                if decision.answered:
-                    self._capture_annotation(
-                        provenance_base + doc,
-                        index,
-                        record=None,
-                        decision=decision,
-                        seconds=tier0_seconds,
-                        surface=mentions_per_doc[doc][index].surface,
-                    )
-                    if decision.entity_id >= 0:
-                        covered += 1
-                        results[doc].append(
-                            self._mention_from_decision(
-                                decision,
-                                span,
-                                mentions_per_doc[doc][index].surface,
-                            )
-                        )
-                    continue
-                record = records_by_key.get((position_of[doc], index))
-                if record is None:
-                    continue
-                self._capture_annotation(
-                    provenance_base + doc,
-                    index,
-                    record=record,
-                    decision=decision,
-                    seconds=model_seconds,
-                )
-                if int((record.candidate_ids >= 0).sum()) > 0:
-                    covered += 1
-                if record.predicted_entity_id >= 0:
-                    results[doc].append(
-                        self._mention_from_record(record, span)
-                    )
-        return covered
-
-    def _capture_annotation(
-        self,
-        sentence_id: int,
-        mention_index: int,
-        record,
-        decision: Tier0Decision | None,
-        seconds: float,
-        surface: str | None = None,
-    ) -> None:
-        """Provenance for one annotated mention (document-keyed).
-
-        ``record`` carries the model half (candidate ids + model
-        scores), ``decision`` the tier-0 half (priors, reason, veto);
-        either may be None depending on which tier(s) saw the mention.
-        """
-        if obs.enabled and provenance.active:
-            surface = surface if surface is not None else record.surface
-            fields: dict = {
-                "surface": surface,
-                "alias": normalize_alias(surface),
-                "seconds": seconds,
-            }
-            if decision is not None:
-                fields["reason"] = decision.reason
-                fields["type_veto"] = decision.reason == REASON_TYPE_VETO
-            if record is not None:
-                row_ids = [
-                    int(cid) for cid in record.candidate_ids if int(cid) >= 0
-                ]
-                row_scores = [
-                    float(s) for s in record.candidate_scores[: len(row_ids)]
-                ]
-                ranked = sorted(row_scores, reverse=True)
-                fields.update(
-                    tier=TIER_MODEL,
-                    candidate_ids=row_ids,
-                    model_scores=row_scores,
-                    predicted_entity_id=int(record.predicted_entity_id),
-                    margin=(
-                        ranked[0] - ranked[1] if len(ranked) > 1 else 0.0
-                    ),
-                    confidence=ranked[0] if ranked else 0.0,
-                )
-                if decision is not None:
-                    prior_by_id = {
-                        int(cid): float(score)
-                        for cid, score in zip(
-                            decision.candidate_ids, decision.candidate_scores
-                        )
-                    }
-                    fields["prior_scores"] = [
-                        prior_by_id.get(cid, 0.0) for cid in row_ids
-                    ]
-            else:
-                fields.update(
-                    tier=TIER_HEURISTIC,
-                    candidate_ids=[int(c) for c in decision.candidate_ids],
-                    prior_scores=[
-                        float(s) for s in decision.candidate_scores
-                    ],
-                    predicted_entity_id=int(decision.entity_id),
-                    margin=float(decision.margin),
-                    confidence=float(decision.confidence),
-                )
-            provenance.record_decision(sentence_id, mention_index, **fields)
+            )
+            fields["prior_scores"] = [
+                prior_by_id.get(int(cid), 0.0)
+                for cid in outcome.candidate_ids
+                if int(cid) != CANDIDATE_PAD
+            ]
+        provenance.record_decision(sentence_id, mention_index, **fields)

@@ -120,12 +120,7 @@ class EntityEmbedder(Module):
         self.fuse = Linear(config.input_dim, config.hidden_dim, rng)
         # Inference fast path: fused payload rows for every entity,
         # precomputed once per model version (see build_static_cache)
-        # and served through a pluggable EntityPayloadStore. The raw
-        # plane attributes are kept alongside for legacy callers that
-        # still read/assign arrays directly; the ``payload_store``
-        # property adopts them on first access.
-        self._static_cache: np.ndarray | None = None
-        self._static_entity_part: np.ndarray | None = None
+        # and served through a pluggable EntityPayloadStore.
         self._payload_store: EntityPayloadStore | None = None
 
     # ------------------------------------------------------------------
@@ -178,30 +173,17 @@ class EntityEmbedder(Module):
 
     def invalidate_static_cache(self) -> None:
         """Drop the precomputed payload (parameters changed)."""
-        if obs.enabled and (
-            self._static_cache is not None or self._payload_store is not None
-        ):
+        if obs.enabled and self._payload_store is not None:
             obs.metrics.counter("entity_cache.invalidations").inc()
-        self._static_cache = None
-        self._static_entity_part = None
         self._payload_store = None
 
     @property
     def static_cache_ready(self) -> bool:
-        return self._static_cache is not None or self._payload_store is not None
+        return self._payload_store is not None
 
     @property
     def payload_store(self) -> EntityPayloadStore | None:
-        """The store serving payload rows on the inference fast path.
-
-        Raw ``_static_cache`` planes assigned by legacy callers (pool
-        workers pointing at shm views, tests) are adopted into a dense
-        store on first access.
-        """
-        if self._payload_store is None and self._static_cache is not None:
-            self._payload_store = DensePayloadStore(
-                self._static_cache, self._static_entity_part
-            )
+        """The store serving payload rows on the inference fast path."""
         return self._payload_store
 
     def attach_payload_store(self, store: EntityPayloadStore) -> None:
@@ -212,12 +194,6 @@ class EntityEmbedder(Module):
                 f"embedder covers {self.num_entities} entities"
             )
         self._payload_store = store
-        if isinstance(store, DensePayloadStore):
-            self._static_cache = store.static_plane
-            self._static_entity_part = store.entity_part_plane
-        else:
-            self._static_cache = None
-            self._static_entity_part = None
 
     def payload_planes(
         self, title_table: np.ndarray | None = None
@@ -228,13 +204,14 @@ class EntityEmbedder(Module):
         mmap writer streams these rows to disk, the tiered builder
         splits them by popularity.
         """
-        dtype = get_compute_dtype()
-        if self._static_cache is None or self._static_cache.dtype != dtype:
+        store = self._payload_store
+        if (
+            not isinstance(store, DensePayloadStore)
+            or store.dtype != get_compute_dtype()
+        ):
             self.build_static_cache(title_table=title_table)
-        planes = {"static": self._static_cache}
-        if self._static_entity_part is not None:
-            planes["entity_part"] = self._static_entity_part
-        return planes
+            store = self._payload_store
+        return store.export_arrays()
 
     def build_static_cache(self, title_table: np.ndarray | None = None) -> None:
         """Precompute the sentence-independent payload for every entity.
@@ -281,8 +258,6 @@ class EntityEmbedder(Module):
                 if config.use_title_feature:
                     titles = title_table[ids].astype(dtype, copy=False)
                     static[ids] += titles @ weight[segments["title"]]
-        self._static_cache = static
-        self._static_entity_part = entity_part
         self._payload_store = DensePayloadStore(static, entity_part)
 
     def forward_cached(

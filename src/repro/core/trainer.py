@@ -401,7 +401,9 @@ def _capture_model_decision(
 ) -> None:
     """Provenance for one model-tier prediction: candidate ids with
     model scores plus the top-two score margin. Tier-0 fields (priors,
-    escalation reason) are upserted by the cascade when one is active.
+    escalation reason) are upserted by the annotator when a cascade
+    policy is set. Annotated text has no gold (its mentions carry
+    ``CANDIDATE_PAD``), so no gold id is recorded for it.
     """
     if obs.enabled and provenance.active:
         row_ids = [
@@ -410,7 +412,7 @@ def _capture_model_decision(
         row_scores = [float(s) for s in record.candidate_scores[: len(row_ids)]]
         ranked = sorted(row_scores, reverse=True)
         margin = ranked[0] - ranked[1] if len(ranked) > 1 else 0.0
-        provenance.record_prediction(
+        provenance.record_decision(
             record.sentence_id,
             record.mention_index,
             surface=record.surface,
@@ -419,7 +421,11 @@ def _capture_model_decision(
             candidate_ids=row_ids,
             model_scores=row_scores,
             predicted_entity_id=int(record.predicted_entity_id),
-            gold_entity_id=int(record.gold_entity_id),
+            gold_entity_id=(
+                record.gold_entity_id
+                if record.gold_entity_id != CANDIDATE_PAD
+                else None
+            ),
             margin=margin,
             confidence=ranked[0] if ranked else 0.0,
             seconds=seconds,

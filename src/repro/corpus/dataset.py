@@ -19,7 +19,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 import repro.obs as obs
-from repro.corpus.document import Corpus, Sentence
+from repro.corpus.document import Corpus, Mention, Sentence
 from repro.corpus.vocab import Vocabulary
 from repro.errors import CorpusError
 from repro.kb.aliases import CandidateMap
@@ -27,6 +27,23 @@ from repro.kb.knowledge_graph import KnowledgeGraph
 from repro.nn.loss import IGNORE_INDEX
 
 CANDIDATE_PAD = -1
+
+#: Encoder window: tokens past it are truncated, and so are the mentions
+#: that end past it (see :func:`encodable_mentions`).
+MAX_TOKENS = 100
+
+
+def encodable_mentions(
+    sentence: Sentence, max_tokens: int = MAX_TOKENS
+) -> list[Mention]:
+    """The mentions an encoding of ``sentence`` keeps, in order.
+
+    Tokens past ``max_tokens`` are truncated, so only mentions ending
+    within the window get candidate arrays and model predictions.
+    """
+    if len(sentence.tokens) <= max_tokens:
+        return sentence.mentions
+    return [m for m in sentence.mentions if m.end <= max_tokens]
 
 
 class CollateBuffers:
@@ -117,7 +134,7 @@ class NedDataset:
         candidate_map: CandidateMap,
         num_candidates: int,
         kgs: Sequence[KnowledgeGraph] = (),
-        max_tokens: int = 100,
+        max_tokens: int = MAX_TOKENS,
         page_graph: KnowledgeGraph | None = None,
     ) -> None:
         if num_candidates < 2:
@@ -139,7 +156,7 @@ class NedDataset:
     def _encode(self, sentence: Sentence) -> EncodedSentence:
         tokens = sentence.tokens[: self.max_tokens]
         token_ids = self.vocab.encode(tokens)
-        mentions = [m for m in sentence.mentions if m.end <= len(tokens)]
+        mentions = encodable_mentions(sentence, self.max_tokens)
         num_mentions = len(mentions)
         k = self.num_candidates
         candidate_ids = np.full((num_mentions, k), CANDIDATE_PAD, dtype=np.int64)

@@ -34,7 +34,6 @@ emission.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import threading
@@ -251,23 +250,6 @@ def reset() -> None:
     _recorder = None
 
 
-@contextlib.contextmanager
-def suppress():
-    """Temporarily pause capture inside an already-instrumented call.
-
-    Used by capture sites that re-key records themselves (the annotator
-    keys by document index, not the positional sentence ids its inner
-    ``predict_batches`` call would record).
-    """
-    global active
-    previous = active
-    active = False
-    try:
-        yield
-    finally:
-        active = previous
-
-
 def recorder() -> ProvenanceRecorder:
     """The live recorder, creating a default-sized one if needed."""
     global _recorder
@@ -282,22 +264,6 @@ def record_decision(sentence_id: int, mention_index: int, **fields: Any) -> None
     No-op unless :func:`enable` ran; decision paths guard the call with
     ``obs.enabled and provenance.active`` so the disabled fast path
     never reaches here (RA405).
-    """
-    if not active:
-        return
-    recorder().record(sentence_id, mention_index, **fields)
-
-
-def record_prediction(
-    sentence_id: int,
-    mention_index: int,
-    **fields: Any,
-) -> None:
-    """Capture the model-tier half of a record (alias of record_decision).
-
-    Kept as a named entry point so capture sites read as what they are:
-    ``record_decision`` at tier-0/cascade sites, ``record_prediction``
-    where model scores land.
     """
     if not active:
         return

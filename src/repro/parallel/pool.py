@@ -185,12 +185,11 @@ def _model_kind(model) -> str:
 def _install_bootleg_extras(model, attached: AttachedArrays) -> None:
     """Rebuild the owner's payload store against shared state (zero-copy).
 
-    Manifests carrying a store descriptor are the current protocol: the
-    worker restores the store from its shm-resident component arrays
-    (dense/tiered) or by re-opening the shard files (mmap — pages are
-    shared through the OS page cache, not the shm block). The bare
-    ``cache.*`` keys remain as the legacy path for manifests exported
-    without a descriptor.
+    When the manifest carries a store descriptor, the worker restores
+    the store from its shm-resident component arrays (dense/tiered) or
+    by re-opening the shard files (mmap — pages are shared through the
+    OS page cache, not the shm block). Without one the owner had no
+    payload built, and the worker builds its own on first use.
     """
     from repro.store import restore_from_export
 
@@ -204,11 +203,6 @@ def _install_bootleg_extras(model, attached: AttachedArrays) -> None:
         model.embedder.attach_payload_store(
             restore_from_export(store_meta, arrays)
         )
-        return
-    if "cache.static" in attached:
-        model.embedder._static_cache = attached["cache.static"]
-        if "cache.entity_part" in attached:
-            model.embedder._static_entity_part = attached["cache.entity_part"]
 
 
 def _export_arrays(model) -> tuple[dict[str, np.ndarray], dict | None]:
@@ -413,9 +407,7 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
             if observing:
                 obs.metrics.counter("parallel.pool.chunk_errors").inc()
                 dirty = True
-            results.put(
-                ("error", worker_id, task_id, traceback.format_exc(), 0.0)
-            )
+            reply = ("error", worker_id, task_id, traceback.format_exc(), 0.0)
         else:
             elapsed = time.perf_counter() - start
             if observing:
@@ -424,9 +416,14 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
                     elapsed
                 )
                 dirty = True
-            results.put(("ok", worker_id, task_id, outcome, elapsed))
+            reply = ("ok", worker_id, task_id, outcome, elapsed)
         if spec.observe:
+            # Ship before the result: the owner stops reading once the
+            # last result of a call arrives, so a snapshot queued after
+            # it would leave live views missing this task until the
+            # next call.
             _ship_periodic()
+        results.put(reply)
     if spec.observe:
         obs.disable()
         snapshot = telemetry_snapshot()

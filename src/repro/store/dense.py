@@ -1,8 +1,9 @@
 """Dense in-memory payload store — the default backend.
 
-Holds each plane as one contiguous ndarray, exactly as the pre-store
-``EntityEmbedder._static_cache`` did; gathers are plain fancy indexing,
-so annotations are byte-identical to the historical fast path.
+Holds each plane as one contiguous ndarray, as
+``EntityEmbedder.build_static_cache`` computes it; gathers are plain
+fancy indexing. The other backends are checked byte-identical against
+this one.
 """
 
 from __future__ import annotations
@@ -62,16 +63,6 @@ class DensePayloadStore(EntityPayloadStore):
         if self._entity_part is not None:
             total += self._entity_part.nbytes
         return int(total)
-
-    # Raw plane access for callers that still speak in arrays (the
-    # embedder's legacy ``_static_cache`` attribute, shm export).
-    @property
-    def static_plane(self) -> np.ndarray:
-        return self._static
-
-    @property
-    def entity_part_plane(self) -> np.ndarray | None:
-        return self._entity_part
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         arrays = {"static": self._static}

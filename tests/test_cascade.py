@@ -20,7 +20,6 @@ from repro.cascade import (
     TIER_MODEL,
     CascadePolicy,
     Tier0Linker,
-    cascade_predict,
     record_cascade_metrics,
 )
 from repro.core import BootlegAnnotator, BootlegConfig, BootlegModel
@@ -168,9 +167,6 @@ class TestTier0Decisions:
         first = linker.resolve("Miami Beach")
         assert linker.resolve("miami  beach") is first
 
-    def test_resolve_batch_empty(self):
-        assert Tier0Linker(CandidateMap(), CascadePolicy()).resolve_batch([]) == []
-
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             CascadePolicy(margin=1.5).validate()
@@ -181,11 +177,22 @@ class TestTier0Decisions:
 
 
 # ----------------------------------------------------------------------
-# cascade_predict over a dataset
+# predict_sentences (the evaluate path) over a split
 # ----------------------------------------------------------------------
+def evaluator(world, vocab, model, policy, batch_size=64):
+    return BootlegAnnotator(
+        model, vocab, world.candidate_map, world.kb, kgs=[world.kg],
+        num_candidates=4, batch_size=batch_size, cascade=policy,
+    )
+
+
 class TestCascadePredict:
-    def test_record_order_and_tier_attribution(self, model, dataset, world):
-        records = cascade_predict(model, dataset, STRICT, kb=world.kb)
+    def test_record_order_and_tier_attribution(
+        self, model, dataset, world, vocab, corpus
+    ):
+        records = evaluator(world, vocab, model, STRICT).predict_sentences(
+            corpus.sentences("val")
+        )
         full = predict(model, dataset)
         assert len(records) == len(full)
         assert [(r.sentence_id, r.mention_index) for r in records] == [
@@ -197,12 +204,12 @@ class TestCascadePredict:
         )
 
     def test_escalated_records_byte_identical_to_standalone_pass(
-        self, model, dataset, world
+        self, model, dataset, world, vocab, corpus
     ):
         batch_size = 4
-        records = cascade_predict(
-            model, dataset, STRICT, kb=world.kb, batch_size=batch_size
-        )
+        records = evaluator(
+            world, vocab, model, STRICT, batch_size=batch_size
+        ).predict_sentences(corpus.sentences("val"))
         # Replicate the escalation set independently and run the plain
         # full-model path over exactly those sentences.
         linker = Tier0Linker(world.candidate_map, STRICT, kb=world.kb,
@@ -231,8 +238,12 @@ class TestCascadePredict:
         for record in escalated:
             records_equal(record, by_key[(record.sentence_id, record.mention_index)])
 
-    def test_tier0_records_carry_normalized_priors(self, model, dataset, world):
-        records = cascade_predict(model, dataset, CascadePolicy(), kb=world.kb)
+    def test_tier0_records_carry_normalized_priors(
+        self, model, world, vocab, corpus
+    ):
+        records = evaluator(
+            world, vocab, model, CascadePolicy()
+        ).predict_sentences(corpus.sentences("val"))
         assert all(r.tier == TIER_HEURISTIC for r in records)
         for record in records:
             kept = record.candidate_scores[record.candidate_ids >= 0]
@@ -241,7 +252,7 @@ class TestCascadePredict:
             assert 0.0 < kept.sum() <= 1.0 + 1e-9
 
     def test_predict_fn_receives_only_escalated_batches(
-        self, model, dataset, world
+        self, model, dataset, world, vocab, corpus
     ):
         seen = []
 
@@ -250,19 +261,21 @@ class TestCascadePredict:
             seen.append(sum(b.token_ids.shape[0] for b in materialized))
             return predict_batches(spy_model, iter(materialized))
 
-        cascade_predict(model, dataset, STRICT, kb=world.kb, predict_fn=spy)
+        evaluator(world, vocab, model, STRICT).predict_sentences(
+            corpus.sentences("val"), predict_fn=spy
+        )
         assert len(seen) == 1
         assert 0 < seen[0] < len(dataset)
 
     def test_all_confident_dataset_never_calls_model(
-        self, model, dataset, world
+        self, model, world, vocab, corpus
     ):
         def exploding(_model, _batches):
             raise AssertionError("model must not run when nothing escalates")
 
-        records = cascade_predict(
-            model, dataset, CascadePolicy(), kb=world.kb, predict_fn=exploding
-        )
+        records = evaluator(
+            world, vocab, model, CascadePolicy()
+        ).predict_sentences(corpus.sentences("val"), predict_fn=exploding)
         assert all(r.tier == TIER_HEURISTIC for r in records)
 
 
@@ -330,15 +343,57 @@ class TestAnnotatorCascade:
                 twin = full_by_span[(mention.start, mention.end)]
                 assert dataclasses.asdict(mention) == dataclasses.asdict(twin)
 
-    def test_fully_confident_docs_skip_the_model(self, world, vocab, model, texts):
+    def test_fully_confident_docs_skip_the_model(
+        self, world, vocab, model, texts, monkeypatch
+    ):
         annotator = self.make(world, vocab, model, CascadePolicy())
 
         def exploding(*_args, **_kwargs):
             raise AssertionError("fully confident batch must not touch the model")
 
-        annotator._model_records = exploding
+        monkeypatch.setattr("repro.core.annotator.predict_batches", exploding)
         tiered = annotator.annotate_batch(texts)
         assert all(m.tier == TIER_HEURISTIC for doc in tiered for m in doc)
+
+    def test_overlapping_spans_rejected_with_and_without_cascade(
+        self, world, vocab, model, texts
+    ):
+        for policy in (None, CascadePolicy()):
+            annotator = self.make(world, vocab, model, policy)
+            with pytest.raises(ConfigError, match="non-overlapping"):
+                annotator.annotate(texts[0], [(0, 2), (1, 2)])
+
+    def test_long_document_spans_agree_with_and_without_cascade(
+        self, world, vocab, model
+    ):
+        # Only mentions ending within the encoder's token window are
+        # decided, whichever tier would answer them.
+        linker = Tier0Linker(
+            world.candidate_map, STRICT, kb=world.kb, num_candidates=4
+        )
+        single = sorted(
+            alias
+            for alias in world.candidate_map.aliases()
+            if len(alias.split()) == 1
+        )
+        confident = [a for a in single if linker.resolve(a).answered]
+        abstaining = [a for a in single if not linker.resolve(a).answered]
+        assert len(confident) >= 2 and abstaining
+        tokens = ["zzfiller"] * 108
+        tokens[2], tokens[103], tokens[105] = (
+            confident[0], abstaining[0], confident[1],
+        )
+        text = detokenize(tokens)
+        spans = {
+            policy: [
+                (m.start, m.end)
+                for m in self.make(world, vocab, model, policy).annotate(text)
+            ]
+            for policy in (None, CascadePolicy(), STRICT)
+        }
+        assert spans[None] == [(2, 3)]
+        assert spans[CascadePolicy()] == spans[None]
+        assert spans[STRICT] == spans[None]
 
     def test_refresh_alias_index_rebuilds_the_linker(self, world, vocab, model):
         annotator = self.make(world, vocab, model, CascadePolicy())
@@ -413,8 +468,10 @@ class TestPoolCascade:
 # Report tier attribution
 # ----------------------------------------------------------------------
 class TestReportTiers:
-    def test_score_slices_counts_tiers(self, model, dataset, world):
-        records = cascade_predict(model, dataset, STRICT, kb=world.kb)
+    def test_score_slices_counts_tiers(self, model, world, vocab, corpus):
+        records = evaluator(world, vocab, model, STRICT).predict_sentences(
+            corpus.sentences("val")
+        )
         scores = score_slices(records, num_samples=20)
         tiers = scores["all"].tiers
         assert set(tiers) == {TIER_HEURISTIC, TIER_MODEL}

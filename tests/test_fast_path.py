@@ -199,7 +199,7 @@ class TestStaticPayloadCache:
         m.eval()
         with no_grad(), compute_dtype(np.float32):
             m(batch)
-        assert m.embedder._static_cache.dtype == np.float32
+        assert m.embedder.payload_store.dtype == np.float32
 
 
 class TestPredictAssembly:

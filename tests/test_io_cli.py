@@ -1,6 +1,9 @@
 """Tests for world/corpus serialization, the CLI, two-hop KG, page
 features, and bootstrap intervals."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,38 @@ class TestCli:
             "annotate", "--world", world_path, "--model", model_path,
             "--text", "w1 name1 w2", "--workers", "2",
         ]) == 0
+
+    def test_evaluate_batch_size_sets_model_batches(self, tmp_path):
+        # The serial full-model path packs --batch-size sentences per
+        # model batch, like the cascade and pooled paths.
+        world_path = str(tmp_path / "world.json")
+        corpus_path = str(tmp_path / "corpus.jsonl")
+        model_path = str(tmp_path / "model.npz")
+        metrics_path = str(tmp_path / "metrics.json")
+        assert cli_main([
+            "generate-world", "--entities", "80", "--seed", "3",
+            "--out", world_path,
+        ]) == 0
+        assert cli_main([
+            "generate-corpus", "--world", world_path, "--pages", "12",
+            "--seed", "3", "--out", corpus_path,
+        ]) == 0
+        assert cli_main([
+            "train", "--world", world_path, "--corpus", corpus_path,
+            "--epochs", "0", "--out", model_path,
+        ]) == 0
+        assert cli_main([
+            "evaluate", "--world", world_path, "--corpus", corpus_path,
+            "--model", model_path, "--split", "val", "--batch-size", "3",
+            "--metrics-out", metrics_path,
+        ]) == 0
+        sentences = [
+            s for s in load_corpus(corpus_path).sentences("val") if s.mentions
+        ]
+        assert len(sentences) > 3
+        with open(metrics_path) as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["infer.batches"] == math.ceil(len(sentences) / 3)
 
     def test_presets_accepted(self, tmp_path):
         world_path = str(tmp_path / "world.json")

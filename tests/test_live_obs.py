@@ -513,6 +513,20 @@ class TestPoolLiveTelemetry:
         # Closing unregisters everything again.
         assert "pool" not in exporter.health.check()["components"]
 
+    def test_single_chunk_snapshot_visible_when_call_returns(
+        self, annotator, texts
+    ):
+        # Regression: workers queued a task's snapshot after its result,
+        # and a call returns on its last result, so after a one-chunk
+        # call the live view missed the only task that ran.
+        with _live_pool(annotator) as (pool, _metrics):
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts[:4], chunk_size=4)
+            live = pool.live_telemetry()
+            assert len(live) == 1, "the chunk's snapshot missed the call"
+            _labels, snapshot = live[0]
+            assert snapshot["counters"]["parallel.pool.chunks"] == 1
+
     def test_sigkill_flips_health_unhealthy(self, annotator, texts):
         with _live_pool(annotator) as (pool, _metrics):
             with compute_dtype(np.float32):

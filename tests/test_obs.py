@@ -784,13 +784,11 @@ class TestDisabledOverhead:
         """annotate_batch with obs disabled vs. a provenance-free body.
 
         The baseline swaps the annotator/trainer module references for a
-        null provenance namespace (inactive flag, no-op suppress), so the
+        null provenance namespace (inactive flag only), so the
         measured delta is exactly the cost of the capture guards. The
         raising stubs double as proof that the disabled path never does
         capture work at all.
         """
-        import contextlib
-
         from repro.core import annotator as annotator_mod
         from repro.core import trainer as trainer_mod
         from repro.nn import compute_dtype
@@ -803,7 +801,6 @@ class TestDisabledOverhead:
 
         class _NullProvenance:
             active = False
-            suppress = staticmethod(contextlib.nullcontext)
 
         def _raise(*args, **kwargs):
             raise AssertionError("provenance capture ran while disabled")
@@ -819,9 +816,7 @@ class TestDisabledOverhead:
         assert obs.enabled is False
         assert provenance.active is False
         real_decision = provenance.record_decision
-        real_prediction = provenance.record_prediction
         provenance.record_decision = _raise
-        provenance.record_prediction = _raise
         try:
             with compute_dtype(np.float32):
                 annotator.annotate_batch(texts)  # warm caches on both paths
@@ -839,7 +834,6 @@ class TestDisabledOverhead:
                         break
         finally:
             provenance.record_decision = real_decision
-            provenance.record_prediction = real_prediction
         assert ratio < 1.05, (
             f"disabled provenance overhead {ratio:.3f}x exceeds the 5% budget"
         )

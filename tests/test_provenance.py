@@ -22,7 +22,6 @@ from repro import cli
 from repro.cascade import (
     REASON_CONFIDENT,
     CascadePolicy,
-    cascade_predict,
 )
 from repro.core import (
     BootlegAnnotator,
@@ -32,7 +31,6 @@ from repro.core import (
 from repro.corpus import (
     CorpusConfig,
     EntityCounts,
-    NedDataset,
     build_vocabulary,
     detokenize,
     generate_corpus,
@@ -47,6 +45,10 @@ from repro.parallel import AnnotatorPool, shared_memory_available
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
 )
+
+# Escalates part of the 120-entity world's mentions (tiny worlds'
+# priors are otherwise confident enough to answer everything).
+STRICT = CascadePolicy(margin=0.8, prior_mass=0.85)
 
 
 # ----------------------------------------------------------------------
@@ -94,10 +96,21 @@ def annotator(world, vocab, model):
 
 
 @pytest.fixture(scope="module")
-def dataset(world, corpus, vocab):
-    return NedDataset(
-        corpus, "val", vocab, world.candidate_map, 4, kgs=[world.kg]
+def cascade_annotator(world, vocab, model):
+    return BootlegAnnotator(
+        model,
+        vocab,
+        world.candidate_map,
+        world.kb,
+        kgs=[world.kg],
+        num_candidates=4,
+        cascade=CascadePolicy(),
     )
+
+
+@pytest.fixture(scope="module")
+def val_sentences(corpus):
+    return corpus.sentences("val")
 
 
 @pytest.fixture(scope="module")
@@ -247,14 +260,6 @@ class TestRecorder:
         provenance.record_decision(2, 0, surface="y")
         assert len(provenance.snapshot_records()) == 1  # disable() froze it
 
-    def test_suppress_pauses_and_restores(self):
-        provenance.enable(capacity=4)
-        with provenance.suppress():
-            assert not provenance.active
-            provenance.record_decision(1, 0)
-        assert provenance.active
-        assert provenance.snapshot_records() == []
-
     def test_attach_slices(self):
         provenance.enable(capacity=4)
         provenance.record_decision(1, 0, surface="a")
@@ -316,12 +321,11 @@ class TestQueryAndFormat:
 # ----------------------------------------------------------------------
 class TestSerialCascadeCapture:
     def test_cascade_records_every_mention_and_predictions_unchanged(
-        self, world, model, dataset
+        self, cascade_annotator, val_sentences
     ):
-        policy = CascadePolicy()
-        baseline = cascade_predict(model, dataset, policy, kb=world.kb)
+        baseline = cascade_annotator.predict_sentences(val_sentences)
         with _capture() as recorder:
-            observed = cascade_predict(model, dataset, policy, kb=world.kb)
+            observed = cascade_annotator.predict_sentences(val_sentences)
             captured = recorder.records()
         records_equal(baseline, observed)
         assert len(captured) == len(baseline)
@@ -346,10 +350,26 @@ class TestSerialCascadeCapture:
                 assert record.reason != REASON_CONFIDENT
                 assert len(record.model_scores) == len(record.candidate_ids)
 
-    def test_nothing_captured_when_disabled(self, world, model, dataset):
+    def test_nothing_captured_when_disabled(
+        self, cascade_annotator, val_sentences
+    ):
         assert not obs.enabled
-        cascade_predict(model, dataset, CascadePolicy(), kb=world.kb)
+        cascade_annotator.predict_sentences(val_sentences)
         assert provenance.snapshot_records() == []
+
+    def test_annotate_records_carry_no_gold(self, world, vocab, model, texts):
+        # Annotated text has no gold label; a recorded placeholder would
+        # make `repro explain --entity` match every annotated mention.
+        for policy in (None, STRICT):
+            annotator = BootlegAnnotator(
+                model, vocab, world.candidate_map, world.kb, kgs=[world.kg],
+                num_candidates=4, batch_size=4, cascade=policy,
+            )
+            with _capture() as recorder:
+                annotator.annotate_batch(texts)
+                captured = recorder.records()
+            assert captured
+            assert all(record.gold_entity_id is None for record in captured)
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +419,20 @@ class TestPooledProvenance:
         for record in captured:
             assert record.tier
             assert record.surface
+
+    def test_pooled_annotate_records_carry_no_gold(
+        self, world, vocab, model, texts
+    ):
+        annotator = BootlegAnnotator(
+            model, vocab, world.candidate_map, world.kb, kgs=[world.kg],
+            num_candidates=4, batch_size=4, cascade=STRICT,
+        )
+        with _capture() as recorder:
+            with self._pool(annotator) as pool:
+                pool.annotate_batch(texts, chunk_size=2)
+            captured = recorder.records()
+        assert {record.tier for record in captured} == {"tier0", "model"}
+        assert all(record.gold_entity_id is None for record in captured)
 
     def test_pool_annotations_identical_with_provenance_on_vs_off(
         self, annotator, texts
@@ -572,15 +606,15 @@ class TestExplainCli:
 # Report drill-down: worst failures per slice link to full records
 # ----------------------------------------------------------------------
 class TestReportDrilldown:
-    def test_slice_examples_attach_and_render(self, world, model, dataset, corpus):
+    def test_slice_examples_attach_and_render(
+        self, world, corpus, cascade_annotator, val_sentences
+    ):
         from repro.corpus.stats import EntityCounts as Counts
         from repro.obs.report import RunReport, render_html
 
         counts = Counts.from_corpus(corpus, world.num_entities)
         with _capture():
-            records = cascade_predict(
-                model, dataset, CascadePolicy(), kb=world.kb
-            )
+            records = cascade_annotator.predict_sentences(val_sentences)
             report = RunReport.build(
                 name="drill", records=records, counts=counts
             )
@@ -606,15 +640,15 @@ class TestReportDrilldown:
         assert "Failure drill-down (decision provenance)" in html
         assert "details class=\"examples\"" in html
 
-    def test_no_examples_without_provenance(self, world, model, dataset, corpus):
+    def test_no_examples_without_provenance(
+        self, world, corpus, cascade_annotator, val_sentences
+    ):
         from repro.corpus.stats import EntityCounts as Counts
         from repro.obs.report import RunReport
 
         counts = Counts.from_corpus(corpus, world.num_entities)
         with obs.scope(fresh=True):
-            records = cascade_predict(
-                model, dataset, CascadePolicy(), kb=world.kb
-            )
+            records = cascade_annotator.predict_sentences(val_sentences)
             report = RunReport.build(
                 name="plain", records=records, counts=counts
             )
