@@ -1,7 +1,9 @@
 """Live-telemetry smoke test: scrape a pooled evaluate while it runs.
 
-Builds a small synthetic world, trains a 2-epoch checkpoint, then runs
-``repro evaluate --workers 4 --serve-metrics 0`` **as a subprocess**
+Builds a small synthetic world, trains a 2-epoch checkpoint on a small
+corpus, then runs ``repro evaluate --workers 4 --serve-metrics 0`` **as
+a subprocess** over the train split of a separate 1,500-page corpus
+(~11.5k mentions, several seconds of pooled work even on two cores)
 and polls its HTTP endpoint from the outside — the point is proving the
 telemetry plane answers while the run is still in flight:
 
@@ -39,6 +41,11 @@ from pathlib import Path
 
 from repro.cli import main as repro_main
 from repro.parallel import shared_memory_available
+
+# Pages of the evaluated corpus: enough work that the pooled evaluate
+# outlives several scrapes on a 2-vCPU machine (the 90-page training
+# corpus's val split finishes in under a second there).
+_EVAL_PAGES = 1500
 
 _URL_PATTERN = re.compile(r"telemetry endpoint at (http://[^/\s]+)/metrics")
 _WORKER_SERIES = re.compile(
@@ -81,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-obs-live-") as tmp:
         world = str(Path(tmp) / "world.npz")
         corpus = str(Path(tmp) / "corpus.npz")
+        eval_corpus = str(Path(tmp) / "eval_corpus.npz")
         model = str(Path(tmp) / "model.npz")
         _run("generate-world", [
             "generate-world", "--entities", str(args.entities),
@@ -94,11 +102,15 @@ def main(argv: list[str] | None = None) -> int:
             "train", "--world", world, "--corpus", corpus,
             "--epochs", "2", "--seed", "0", "--out", model,
         ])
+        _run("generate-eval-corpus", [
+            "generate-corpus", "--world", world,
+            "--pages", str(_EVAL_PAGES), "--seed", "1", "--out", eval_corpus,
+        ])
 
         eval_argv = [
             sys.executable, "-m", "repro.cli", "evaluate",
-            "--world", world, "--corpus", corpus, "--model", model,
-            "--split", "val", "--workers", str(args.workers),
+            "--world", world, "--corpus", eval_corpus, "--model", model,
+            "--split", "train", "--workers", str(args.workers),
             "--batch-size", "4", "--store", "tiered",
             "--serve-metrics", "0", "--sample-interval", "0.2",
         ]

@@ -141,7 +141,6 @@ WORKER_ENTRYPOINTS: tuple[str, ...] = ("_worker_main",)
 # started thread would be inherited mid-state by fork.
 PREFORK_ENTRYPOINTS: tuple[str, ...] = (
     "AnnotatorPool._build_spec",
-    "AnnotatorPool._export_arrays",
     "AnnotatorPool._spawn_worker",
 )
 

@@ -1,75 +1,57 @@
-"""Cross-process telemetry aggregation.
+"""Cross-process telemetry aggregation: one shipment type, one merge rule.
 
 A pool worker records into its own process-local ``repro.obs``
-singletons; without aggregation everything it observed would die with
-the child process. This module is the owner/worker handshake:
+singletons and provenance ring; without aggregation everything it
+observed would die with the child process. This module is both ends of
+the exchange:
 
-- the **worker** calls :func:`telemetry_snapshot` at shutdown (or on an
-  explicit flush) and ships the resulting plain dict back over the
-  pool's existing result queue — it is picklable, bounded (histogram
-  reservoirs, not raw streams), and contains no live objects;
-- the **owner** calls :func:`merge_telemetry` with a ``worker=<rank>``
-  label, folding the worker's counters/gauges/histograms into the
-  global registry under re-labeled keys
-  (``parallel.pool.chunk_seconds`` → ``…{worker=3}``) and grafting the
-  worker's span forest — with its real pid/tid — into the global
-  tracer, so a pooled run exports one merged metrics file and one
-  coherent Chrome trace.
+- the **worker** calls :func:`take_shipment` to package what it
+  recorded *since its last shipment* — metric deltas, closed spans and
+  decision records (the ring plus its eviction backlog) — into one
+  picklable dict, and clears that state, so consecutive shipments are
+  disjoint;
+- the **owner** calls :func:`merge_telemetry` on each shipment as soon
+  as it arrives, folding counters/gauges/histograms into the global
+  registry under re-labeled keys (``parallel.pool.chunk_seconds`` →
+  ``…{worker=3}``), grafting the spans — with their real pid/tid —
+  into the global tracer, and upserting the decision records into the
+  provenance ring stamped with the worker's rank.
 
-The heavy lifting (reservoir merging, key re-labeling, span
-rehydration) lives on :class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.trace.SpanTracer`; this module only packages the
-two ends of the exchange.
+Because shipments are disjoint, merging each one exactly once keeps the
+owner exact up to the last shipment it read: counters and histogram
+count, sum, min and max equal what the workers shipped, and nothing is
+held per worker on the owner side. The heavy lifting (reservoir merging,
+key re-labeling, span rehydration, upserts) lives on
+:class:`~repro.obs.metrics.MetricsRegistry`,
+:class:`~repro.obs.trace.SpanTracer` and :mod:`repro.obs.provenance`.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import SpanTracer
-
-# Schema marker for the snapshot payload, bumped when the layout of
-# either sub-snapshot changes incompatibly.
-SNAPSHOT_VERSION = 1
+import repro.obs as obs
+from repro.obs import provenance
 
 
-def telemetry_snapshot(
-    metrics: MetricsRegistry | None = None,
-    tracer: SpanTracer | None = None,
-) -> dict:
-    """Bundle the current metrics + trace state into one picklable dict.
-
-    Defaults to the module-level ``repro.obs`` singletons, which is what
-    a pool worker wants; pass explicit instances for tests.
-    """
-    import repro.obs as obs
-
-    metrics = metrics if metrics is not None else obs.metrics
-    tracer = tracer if tracer is not None else obs.tracer
-    return {
-        "version": SNAPSHOT_VERSION,
-        "metrics": metrics.snapshot(),
-        "trace": tracer.snapshot(),
+def take_shipment() -> dict:
+    """Everything recorded since the last shipment, then cleared."""
+    shipment = {
+        "metrics": obs.metrics.snapshot(),
+        "trace": obs.tracer.snapshot(),
+        "provenance": provenance.recorder().drain(),
     }
+    obs.reset()
+    return shipment
 
 
-def merge_telemetry(
-    snapshot: dict,
-    metrics: MetricsRegistry | None = None,
-    tracer: SpanTracer | None = None,
-    **labels,
-) -> None:
-    """Fold a :func:`telemetry_snapshot` into a registry + tracer.
+def merge_telemetry(shipment: dict, worker: int) -> None:
+    """Fold one :func:`take_shipment` into the owner under ``worker``.
 
-    ``labels`` (typically ``worker=<rank>``) are attached to every
-    incoming metric key; spans keep their recorded pid/tid, which is
-    what separates workers on the trace timeline. Defaults to the
-    module-level ``repro.obs`` singletons.
+    Metric keys gain a ``worker=<rank>`` label; spans keep their
+    recorded pid/tid, which is what separates workers on the trace
+    timeline; decision records go through the same upsert every
+    capture uses (a no-op unless provenance is active).
     """
-    import repro.obs as obs
-
-    metrics = metrics if metrics is not None else obs.metrics
-    tracer = tracer if tracer is not None else obs.tracer
-    metrics.merge(snapshot.get("metrics", {}), **labels)
-    trace = snapshot.get("trace")
-    if trace:
-        tracer.merge(trace)
+    obs.metrics.merge(shipment["metrics"], worker=worker)
+    obs.tracer.merge(shipment["trace"])
+    for row in shipment["provenance"]:
+        provenance.record_decision(**{**row, "worker": worker})

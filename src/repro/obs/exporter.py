@@ -30,16 +30,14 @@ nothing about a hung worker. :class:`TelemetryServer` is a stdlib-only
 
 ``/provenance``
     Per-mention decision records (:mod:`repro.obs.provenance`): the
-    owner's ring plus every registered live source's worker-shipped
-    rows (see :func:`register_provenance_source`), so a mid-run pool
-    can be asked *why* a mention resolved the way it did.
+    owner's ring, so a mid-run pool can be asked *why* a mention
+    resolved the way it did.
 
-Scrapes see *live* pool workers through :func:`register_live_source`:
-the pool registers a source yielding its latest periodic per-worker
-snapshots, and every ``/metrics`` request builds a fresh throwaway
-registry from the owner registry plus all live sources — the shipped
-snapshots are cumulative, so merging at scrape time (never into the
-owner registry) keeps repeated scrapes from double counting.
+Every endpoint reads owner state directly. Pool workers' telemetry
+reaches it through :mod:`repro.obs.aggregate`: the owner merges each
+worker shipment (metric deltas, closed spans, decision records) under
+``worker=<rank>`` as it arrives, so a scrape needs no merge of its own
+and repeated scrapes cannot double count.
 
 Nothing in this module is imported unless the server (or the flight
 recorder / sampler) is actually requested — ``repro.obs`` exposes it
@@ -56,7 +54,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import repro.obs as obs
-from repro.obs.metrics import MetricsRegistry, parse_metric_key
+from repro.obs import provenance
+from repro.obs.metrics import parse_metric_key
 
 _NAME_SANITISER = re.compile(r"[^a-zA-Z0-9_:]")
 _QUANTILES = (("0.5", 0.50), ("0.9", 0.90), ("0.99", 0.99))
@@ -128,108 +127,6 @@ def render_prometheus(summary: dict) -> str:
             f"{family}_sum{_prom_labels(labels)} {_format_value(hist['sum'])}"
         )
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Live sources: periodic worker snapshots merged at scrape time
-# ----------------------------------------------------------------------
-_live_lock = threading.Lock()
-_live_sources: dict[int, object] = {}
-_live_token = 0
-
-
-def register_live_source(source) -> int:
-    """Register ``source() -> iterable[(labels_dict, metrics_snapshot)]``.
-
-    Each ``metrics_snapshot`` is a cumulative
-    :meth:`MetricsRegistry.snapshot`; the scrape merges it into a
-    throwaway registry under ``labels_dict``, so sources can keep
-    shipping cumulative state without double counting. Returns a token
-    for :func:`unregister_live_source`.
-    """
-    global _live_token
-    with _live_lock:
-        _live_token += 1
-        _live_sources[_live_token] = source
-        return _live_token
-
-
-def unregister_live_source(token: int) -> None:
-    with _live_lock:
-        _live_sources.pop(token, None)
-
-
-def collect_registry() -> MetricsRegistry:
-    """Owner registry + all live sources, merged into a fresh registry."""
-    merged = MetricsRegistry()
-    merged.merge(obs.metrics.snapshot())
-    with _live_lock:
-        sources = list(_live_sources.values())
-    for source in sources:
-        try:
-            pairs = source()
-        except Exception:  # pragma: no cover - a dying component must
-            continue       # not break the scrape
-        for labels, snapshot in pairs:
-            merged.merge(snapshot, **labels)
-    return merged
-
-
-# ----------------------------------------------------------------------
-# Provenance sources: worker-shipped decision records for /provenance
-# ----------------------------------------------------------------------
-_provenance_sources: dict[int, object] = {}
-
-
-def register_provenance_source(source) -> int:
-    """Register ``source() -> iterable[dict]`` of live decision records.
-
-    The pool registers one yielding its workers' latest shipped
-    provenance rings; ``/provenance`` serves them alongside the owner
-    process's own ring. Returns a token for
-    :func:`unregister_provenance_source`.
-    """
-    global _live_token
-    with _live_lock:
-        _live_token += 1
-        _provenance_sources[_live_token] = source
-        return _live_token
-
-
-def unregister_provenance_source(token: int) -> None:
-    with _live_lock:
-        _provenance_sources.pop(token, None)
-
-
-def collect_provenance() -> dict:
-    """Owner ring + all live provenance sources, de-duplicated by key.
-
-    Worker-shipped rows supersede owner rows for the same
-    ``(sentence_id, mention_index)`` only when the owner has none —
-    like the scrape-time metric merge, nothing is folded into the owner
-    ring here, so repeated requests stay consistent.
-    """
-    from repro.obs import provenance
-
-    rows: dict[tuple, dict] = {
-        (r["sentence_id"], r["mention_index"]): r
-        for r in provenance.snapshot_records()
-    }
-    with _live_lock:
-        sources = list(_provenance_sources.values())
-    for source in sources:
-        try:
-            shipped = list(source())
-        except Exception:  # pragma: no cover - a dying component must
-            continue       # not break the request
-        for row in shipped:
-            rows.setdefault((row["sentence_id"], row["mention_index"]), row)
-    ordered = [rows[key] for key in sorted(rows)]
-    return {
-        "active": provenance.active,
-        "num_records": len(ordered),
-        "records": ordered,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -322,12 +219,12 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         try:
             if path == "/metrics":
-                body = render_prometheus(collect_registry().to_dict())
+                body = render_prometheus(obs.metrics.to_dict())
                 self._send(
                     200, "text/plain; version=0.0.4; charset=utf-8", body
                 )
             elif path == "/metrics.json":
-                body = json.dumps(collect_registry().to_dict(), indent=2)
+                body = json.dumps(obs.metrics.to_dict(), indent=2)
                 self._send(200, "application/json", body)
             elif path == "/healthz":
                 report = health.check()
@@ -340,7 +237,15 @@ class _Handler(BaseHTTPRequestHandler):
                 body = json.dumps(obs.tracer.to_dict(), indent=2)
                 self._send(200, "application/json", body)
             elif path == "/provenance":
-                body = json.dumps(collect_provenance(), indent=2)
+                records = provenance.snapshot_records()
+                body = json.dumps(
+                    {
+                        "active": provenance.active,
+                        "num_records": len(records),
+                        "records": records,
+                    },
+                    indent=2,
+                )
                 self._send(200, "application/json", body)
             else:
                 self._send(404, "text/plain", "not found\n")

@@ -15,16 +15,18 @@ Storage is a bounded insertion-ordered ring keyed by
 the newcomer leaves unset (``None``) keep the stored value, so the
 tier-0 pass, the model pass, and the owner-side enrichment (slices,
 gold ids) each contribute their piece of the same record. When the
-ring is full the oldest record is evicted — and appended to the JSONL
-spill file first, when one is configured, so long runs keep a complete
-audit trail on disk while memory stays bounded.
+ring is full the oldest record is evicted into a backlog — appended to
+the JSONL spill file, when one is configured, so long runs keep a
+complete audit trail on disk while memory stays bounded; without a
+spill file the backlog is kept for :meth:`ProvenanceRecorder.export_jsonl`
+or the next :meth:`ProvenanceRecorder.drain`.
 
-Cross-process semantics mirror the metrics plane
-(:mod:`repro.obs.aggregate`): pool workers capture records locally and
-ship snapshots alongside metric snapshots; the owner merges them via
-:func:`merge_records` under ``worker={rank}``. The merge is
-*fill-only*: worker-shipped values never overwrite owner-side
-enrichment that already landed on the record.
+Cross-process semantics follow :mod:`repro.obs.aggregate`: pool workers
+capture into their own rings, and every telemetry shipment drains the
+backlog plus the ring. The owner folds the shipped rows in through the
+same upsert, stamped with the worker's rank. No owner path records a
+key before that key's worker rows have arrived, so upserting in arrival
+order builds the record serial capture would.
 
 Lint rule RA405 confines :class:`DecisionRecord` construction and
 ``record_*`` emission to this module's helpers, guarded by
@@ -140,34 +142,6 @@ class ProvenanceRecorder:
             self._records[key] = existing
             self._evict_locked()
 
-    def fill(self, payload: dict[str, Any], worker: int | None = None) -> None:
-        """Merge a shipped record dict without clobbering local fields.
-
-        The inverse priority of :meth:`record`: a field already set on
-        the stored record wins over the shipped value. ``worker``
-        stamps the shipping rank, like ``merge_telemetry``'s labels.
-        """
-        updates = _clean(payload)
-        with self._lock:
-            key = (int(updates["sentence_id"]), int(updates["mention_index"]))
-            existing = self._records.pop(key, None)
-            if existing is None:
-                record = DecisionRecord.from_dict(updates)
-                if worker is not None:
-                    record.worker = worker
-                self._records[key] = record
-                self._evict_locked()
-                return
-            blank = DecisionRecord(sentence_id=key[0], mention_index=key[1])
-            for field in dataclasses.fields(DecisionRecord):
-                if getattr(existing, field.name) == getattr(blank, field.name):
-                    incoming = updates.get(field.name)
-                    if incoming is not None:
-                        setattr(existing, field.name, incoming)
-            if worker is not None and existing.worker < 0:
-                existing.worker = worker
-            self._records[key] = existing
-
     def _evict_locked(self) -> None:
         while len(self._records) > self.capacity:
             _, evicted = self._records.popitem(last=False)
@@ -193,6 +167,17 @@ class ProvenanceRecorder:
         """Ring contents as plain dicts (pickle/JSON-safe)."""
         with self._lock:
             return [record.to_dict() for record in self._records.values()]
+
+    def drain(self) -> list[dict[str, Any]]:
+        """Evicted backlog then ring, oldest first, as plain dicts;
+        both are cleared. A worker's share of a telemetry shipment."""
+        with self._lock:
+            rows = self._spill_buffer + [
+                record.to_dict() for record in self._records.values()
+            ]
+            self._spill_buffer = []
+            self._records.clear()
+        return rows
 
     def flush(self) -> None:
         """Write spilled-but-buffered records out to the spill file."""
@@ -275,26 +260,6 @@ def snapshot_records() -> list[dict[str, Any]]:
     if _recorder is None:
         return []
     return _recorder.snapshot()
-
-
-def merge_records(
-    rows: Iterable[dict[str, Any]],
-    worker: int | None = None,
-) -> int:
-    """Fill-only merge of shipped record dicts into the live ring.
-
-    Owner-side enrichment (slices, gold ids) that already landed on a
-    record survives; worker values only fill unset fields. Returns the
-    number of rows merged.
-    """
-    if not active:
-        return 0
-    rec = recorder()
-    count = 0
-    for payload in rows:
-        rec.fill(payload, worker=worker)
-        count += 1
-    return count
 
 
 def attach_slices(membership: dict[str, Any]) -> None:

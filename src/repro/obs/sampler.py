@@ -63,7 +63,7 @@ def _open_fds(pid: int) -> int | None:
 
 
 # ----------------------------------------------------------------------
-# Module-level source registries (mirrors exporter.register_live_source)
+# Module-level source registries (like exporter.health, process-global)
 # ----------------------------------------------------------------------
 _source_lock = threading.Lock()
 _pids_providers: dict[int, object] = {}

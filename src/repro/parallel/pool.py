@@ -32,7 +32,6 @@ import dataclasses
 import math
 import os
 import queue as _queue
-import threading
 import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
@@ -46,11 +45,7 @@ import numpy as np
 import repro.obs as obs
 from repro.errors import ParallelError
 from repro.obs import provenance
-from repro.obs.aggregate import (
-    SNAPSHOT_VERSION,
-    merge_telemetry,
-    telemetry_snapshot,
-)
+from repro.obs.aggregate import merge_telemetry, take_shipment
 from repro.parallel.shm import (
     AttachedArrays,
     SharedArrayStore,
@@ -69,11 +64,10 @@ _CHUNKS_PER_WORKER = 4
 # parallel path and falling back to serial execution.
 _STARTUP_TIMEOUT = 60.0
 _RESULT_POLL_SECONDS = 0.2
-# Seconds to wait at shutdown for the workers' telemetry snapshots.
+# Seconds to wait at shutdown for the workers' final shipments.
 _TELEMETRY_TIMEOUT = 10.0
-# Seconds between periodic worker telemetry snapshots (0 ships after
-# every task — used by deterministic tests). Periodic snapshots are
-# cumulative, so the owner keeps only the latest per worker.
+# Seconds between worker telemetry shipments (0 ships after every task
+# — used by deterministic tests).
 _DEFAULT_TELEMETRY_INTERVAL = 2.0
 
 _ENV_START_METHOD = "REPRO_PARALLEL_START_METHOD"
@@ -128,16 +122,15 @@ class WorkerSpec:
     # unrelated processes attaching from outside need True.
     unregister_tracker: bool = False
     # Captured from obs.enabled when the pool starts: workers run a
-    # process-local obs scope around chunk execution and ship telemetry
-    # snapshots back over the result queue — periodic (metrics only,
-    # every telemetry_interval seconds while work flows) and one final
-    # full snapshot (metrics + trace, marked ``final``) at shutdown.
+    # process-local obs scope around chunk execution and ship what they
+    # recorded since their last shipment back over the result queue —
+    # every telemetry_interval seconds while work flows, and once more
+    # (marked ``final``) at shutdown.
     observe: bool = False
     telemetry_interval: float = _DEFAULT_TELEMETRY_INTERVAL
     # Captured from provenance.active when the pool starts: workers run
-    # a process-local provenance ring and ship its records inside the
-    # same telemetry snapshots (periodic + final); the owner merges
-    # them under worker={rank} exactly like the metric series.
+    # a process-local provenance ring, drained into the same shipments;
+    # the owner upserts the rows under worker={rank}.
     provenance: bool = False
 
 
@@ -349,7 +342,7 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
     if spec.observe:
         # Worker-side obs scope: chunk execution records into this
         # process's registry/tracer (reset again so rehydration/warmup
-        # noise is excluded); the owner merges the snapshot at shutdown.
+        # noise is excluded).
         obs.reset()
         obs.enable()
         if spec.provenance:
@@ -357,32 +350,20 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
             # owns the spill file.
             provenance.enable()
     results.put(("ready", worker_id, -1, None, 0.0))
-    # Periodic shipping state. Snapshots are cumulative, so losing one
-    # is harmless (the next covers it) and the owner replaces rather
-    # than accumulates. ``dirty`` bounds queue growth: an idle worker
-    # ships at most one trailing snapshot, then stays quiet until it
-    # records something new.
+    # Shipping state. Each shipment carries what was recorded since the
+    # previous one, so ``dirty`` skips empty shipments: an idle worker
+    # stays quiet until it records something new.
     ship_interval = max(0.0, float(spec.telemetry_interval))
     last_ship = time.monotonic()
     dirty = False
 
-    def _ship_periodic(force: bool = False) -> None:
+    def _ship(final: bool = False) -> None:
         nonlocal last_ship, dirty
-        if not dirty:
-            return
-        now = time.monotonic()
-        if force or now - last_ship >= ship_interval:
-            # Metrics only: trace forests grow with the run and belong
-            # in the single final snapshot, not on a periodic cadence.
-            payload = {
-                "version": SNAPSHOT_VERSION,
-                "metrics": obs.metrics.snapshot(),
-            }
-            if spec.provenance:
-                payload["provenance"] = provenance.snapshot_records()
-            results.put(("telemetry", worker_id, -1, payload, 0.0))
-            last_ship = now
-            dirty = False
+        shipment = take_shipment()
+        shipment["final"] = final
+        results.put(("telemetry", worker_id, -1, shipment, 0.0))
+        last_ship = time.monotonic()
+        dirty = False
 
     while True:
         if spec.observe:
@@ -391,7 +372,8 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
                     timeout=max(ship_interval, _RESULT_POLL_SECONDS)
                 )
             except _queue.Empty:
-                _ship_periodic(force=True)
+                if dirty:
+                    _ship()
                 continue
         else:
             task = tasks.get()
@@ -417,20 +399,16 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
                 )
                 dirty = True
             reply = ("ok", worker_id, task_id, outcome, elapsed)
-        if spec.observe:
+        if dirty and time.monotonic() - last_ship >= ship_interval:
             # Ship before the result: the owner stops reading once the
-            # last result of a call arrives, so a snapshot queued after
-            # it would leave live views missing this task until the
+            # last result of a call arrives, so a shipment queued after
+            # it would leave owner state missing this task until the
             # next call.
-            _ship_periodic()
+            _ship()
         results.put(reply)
     if spec.observe:
         obs.disable()
-        snapshot = telemetry_snapshot()
-        snapshot["final"] = True
-        if spec.provenance:
-            snapshot["provenance"] = provenance.snapshot_records()
-        results.put(("telemetry", worker_id, -1, snapshot, 0.0))
+        _ship(final=True)
 
 
 # ----------------------------------------------------------------------
@@ -487,13 +465,8 @@ class AnnotatorPool:
         self._task_queues: list = []
         self._results = None
         self._closed = False
-        # Live telemetry: latest cumulative snapshot per worker, plus
-        # the exporter/sampler registration tokens held while open.
-        self._live: dict[int, dict] = {}
-        self._live_lock = threading.Lock()
-        self._live_token: int | None = None
+        # Sampler/health registrations held while open and observed.
         self._pids_token: int | None = None
-        self._provenance_token: int | None = None
         self._health_registry = None
         self.serial = True
         if self.workers > 1 and shared_memory_available():
@@ -632,9 +605,8 @@ class AnnotatorPool:
             if status == "ready":
                 pending.discard(worker_id)
             elif status == "telemetry":
-                # A periodic snapshot racing the handshake (fast worker,
-                # telemetry_interval=0); keep it live, merge at close.
-                self._record_live_telemetry(worker_id, payload)
+                # Every shipment is merged once, wherever it is read.
+                merge_telemetry(payload, worker=worker_id)
 
     # -- dispatch -------------------------------------------------------
     def _execute(self, tasks: list[_Task]) -> list:
@@ -689,9 +661,8 @@ class AnnotatorPool:
                 if observing:
                     obs.metrics.counter("parallel.pool.task_failures").inc()
             elif status == "telemetry":
-                # Periodic cumulative snapshot; replaces (never adds to)
-                # the worker's previous one so live scrapes stay exact.
-                self._record_live_telemetry(worker_id, payload)
+                merge_telemetry(payload, worker=worker_id)
+                self._beat()
                 continue
             elif status == "init_error":
                 # A respawned worker failed to reinitialize; everything
@@ -780,7 +751,7 @@ class AnnotatorPool:
 
     # -- live telemetry plane -------------------------------------------
     def _register_live(self) -> None:
-        """Plug this pool into the exporter/sampler module registries.
+        """Plug this pool into the sampler and health registries.
 
         Only while observing — a non-observed pool ships no telemetry,
         so registering would only pull in ``http.server`` for nothing.
@@ -790,12 +761,7 @@ class AnnotatorPool:
             return
         from repro.obs import exporter, sampler
 
-        self._live_token = exporter.register_live_source(self.live_telemetry)
         self._pids_token = sampler.register_pids_provider(self.worker_pids)
-        if self._spec.provenance:
-            self._provenance_token = exporter.register_provenance_source(
-                self.live_provenance
-            )
         exporter.health.register("pool", self.health)
         self._health_registry = exporter.health
         self._health_registry.beat("pool")
@@ -803,62 +769,17 @@ class AnnotatorPool:
     def _unregister_live(self) -> None:
         if self._health_registry is None:
             return
-        from repro.obs import exporter, sampler
+        from repro.obs import sampler
 
-        if self._live_token is not None:
-            exporter.unregister_live_source(self._live_token)
-            self._live_token = None
         if self._pids_token is not None:
             sampler.unregister_pids_provider(self._pids_token)
             self._pids_token = None
-        if self._provenance_token is not None:
-            exporter.unregister_provenance_source(self._provenance_token)
-            self._provenance_token = None
         self._health_registry.unregister("pool", self.health)
         self._health_registry = None
-
-    def _record_live_telemetry(self, worker_id: int, payload: dict) -> None:
-        with self._live_lock:
-            self._live[worker_id] = payload
-        self._beat()
 
     def _beat(self) -> None:
         if self._health_registry is not None:
             self._health_registry.beat("pool")
-
-    def live_telemetry(self) -> list[tuple[dict, dict]]:
-        """Latest cumulative metrics snapshot per worker, for scrapes.
-
-        The exporter merges these into a throwaway registry under the
-        returned labels on every ``/metrics`` request — snapshots are
-        cumulative, so they are never merged into the owner registry
-        until the final flush at :meth:`close`.
-        """
-        with self._live_lock:
-            items = sorted(self._live.items())
-        return [
-            ({"worker": worker_id}, payload.get("metrics", {}))
-            for worker_id, payload in items
-        ]
-
-    def live_provenance(self) -> list[dict]:
-        """Worker-shipped decision records for mid-run ``/provenance``.
-
-        Like :meth:`live_telemetry`, these come from the latest
-        cumulative periodic snapshots and are never folded into the
-        owner ring until the final merge at :meth:`close`; missing
-        worker ranks are stamped from the shipping worker.
-        """
-        with self._live_lock:
-            items = sorted(self._live.items())
-        rows: list[dict] = []
-        for worker_id, payload in items:
-            for record in payload.get("provenance", ()):
-                row = dict(record)
-                if row.get("worker", -1) < 0:
-                    row["worker"] = worker_id
-                rows.append(row)
-        return rows
 
     def worker_pids(self) -> list[int]:
         """Pids of currently live workers (for the resource sampler)."""
@@ -989,9 +910,6 @@ class AnnotatorPool:
         self._teardown()
 
     def _teardown(self) -> None:
-        # Unhook live sources first: after this point worker snapshots
-        # merge into the owner registry, and a scrape that still saw the
-        # live source would double count them.
         self._unregister_live()
         for worker_id, process in enumerate(self._procs):
             if process is None:
@@ -1000,7 +918,7 @@ class AnnotatorPool:
                 self._task_queues[worker_id].put(None)
             except (OSError, ValueError):  # pragma: no cover - queue gone
                 pass
-        self._collect_worker_telemetry()
+        self._drain_final_shipments()
         for process in self._procs:
             if process is None:
                 continue
@@ -1021,20 +939,15 @@ class AnnotatorPool:
             self._store.close(unlink=True)
             self._store = None
 
-    def _collect_worker_telemetry(self) -> None:
-        """Drain the workers' shutdown telemetry and merge it owner-side.
+    def _drain_final_shipments(self) -> None:
+        """Merge shipments until every worker sent its final one or died.
 
-        Workers flush one ``final``-marked ``("telemetry", rank, ...)``
-        message right after the shutdown sentinel; each snapshot is
-        merged into the global registry/tracer with a ``worker=<rank>``
-        label so per-worker chunk histograms stay distinguishable and
-        worker spans (with their real pids) land on the owner's
-        timeline. A worker that crashed before flushing is *not* lost
-        anymore: snapshots are cumulative, so its most recent periodic
-        snapshot (kept in ``self._live``) stands in for the final one —
-        only the tail of work since its last ship window is missing.
-        The drain gives up once every expected worker is dead and the
-        queue has stayed empty for a grace period.
+        Workers ship one ``final``-marked ``("telemetry", rank, ...)``
+        message right after the shutdown sentinel. Everything a worker
+        shipped was merged when it arrived, so a worker that crashed
+        without a final shipment contributes exactly what it shipped
+        before dying. The drain gives up once every expected worker is
+        dead and the queue has stayed empty for a grace period.
         """
         if (
             self._spec is None
@@ -1047,14 +960,6 @@ class AnnotatorPool:
             for worker_id, process in enumerate(self._procs)
             if process is not None
         }
-        # Seed with each worker's last periodic snapshot — the fallback
-        # for workers that die before their final flush.
-        with self._live_lock:
-            snapshots: dict[int, dict] = {
-                worker_id: payload
-                for worker_id, payload in self._live.items()
-                if worker_id in expected
-            }
         deadline = time.monotonic() + _TELEMETRY_TIMEOUT
         drained_grace: float | None = None
         while expected and time.monotonic() < deadline:
@@ -1063,12 +968,7 @@ class AnnotatorPool:
                     timeout=_RESULT_POLL_SECONDS
                 )
             except _queue.Empty:
-                all_dead = all(
-                    self._procs[worker_id] is None
-                    or not self._procs[worker_id].is_alive()
-                    for worker_id in expected
-                )
-                if not all_dead:
+                if any(self._procs[w].is_alive() for w in expected):
                     continue
                 # Every straggler is dead; allow one grace period for
                 # messages still in the queue's feeder pipe, then stop.
@@ -1079,25 +979,12 @@ class AnnotatorPool:
                     break
                 continue
             drained_grace = None
-            if status == "telemetry" and worker_id in expected:
-                # Cumulative: any later snapshot supersedes the seeded
-                # periodic one; only the final flush retires the worker.
-                snapshots[worker_id] = payload
-                if payload.get("final"):
+            if status == "telemetry":
+                merge_telemetry(payload, worker=worker_id)
+                if payload["final"]:
                     expected.discard(worker_id)
             # Late "ok"/"error"/"ready" stragglers are dropped: the pool
             # is closing and their dispatch call has already returned.
-        if obs.enabled:
-            for worker_id in sorted(snapshots):
-                merge_telemetry(snapshots[worker_id], worker=worker_id)
-                # Fill-only: worker records land under worker={rank}
-                # without clobbering owner-side enrichment. Crashed
-                # workers contribute their last periodic snapshot, so
-                # their shipped records survive like their metrics do.
-                provenance.merge_records(
-                    snapshots[worker_id].get("provenance", ()),
-                    worker=worker_id,
-                )
 
     def __enter__(self) -> "AnnotatorPool":
         return self
@@ -1148,7 +1035,7 @@ def predict_batches(
     With ``workers <= 1`` (or no usable pool) this is exactly the serial
     function; otherwise batches are sharded across a transient pool and
     the records are returned in serial order. ``telemetry_interval``
-    sets the workers' periodic snapshot cadence (for live scrapes).
+    sets the workers' shipment cadence (for live scrapes).
     """
     if workers <= 1 or not shared_memory_available():
         from repro.core.trainer import predict_batches as serial_predict

@@ -253,6 +253,21 @@ def test_project_pass_is_clean_and_fast_on_repo_tree():
     assert elapsed < 10.0, f"project pass took {elapsed:.1f}s (budget 10s)"
 
 
+def test_fork_safety_roots_resolve_to_functions():
+    """Every RA801/RA803 root names a function in src/repro, matched the
+    way the project pass matches it, so a pool rename cannot silently
+    drop a root."""
+    from repro.analysis import layers
+    from repro.analysis.project import Project
+
+    project = Project(REPO_ROOT / "src" / "repro")
+    quals = {key.split(":", 1)[1] for key in project.functions}
+    for name in layers.WORKER_ENTRYPOINTS:
+        assert name in quals, f"worker entrypoint {name!r} matches nothing"
+    for qual in layers.PREFORK_ENTRYPOINTS:
+        assert qual in quals, f"pre-fork entrypoint {qual!r} matches nothing"
+
+
 # ----------------------------------------------------------------------
 # Output formats
 # ----------------------------------------------------------------------

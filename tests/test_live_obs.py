@@ -3,10 +3,11 @@
 Covers Prometheus text rendering, the four HTTP endpoints, the health
 registry (readiness probes + progress watermarks), the /proc resource
 sampler, the bounded flight recorder (SIGUSR2 and crash-hook dumps),
-the pool's periodic per-worker telemetry shipping (live scrape series,
-health flip on a killed worker, dead-worker snapshot recovery), and the
-CLI teardown of ``--serve-metrics`` / ``--flight-dir``. ``make check``
-runs this module a second time under the spawn start method.
+the pool's per-worker telemetry shipments (worker series in the owner
+registry while the pool runs, exactly-once merging, health flip on a
+killed worker, a dead worker's shipped data kept), and the CLI teardown
+of ``--serve-metrics`` / ``--flight-dir``. ``make check`` runs this
+module a second time under the spawn start method.
 """
 
 import dataclasses
@@ -40,11 +41,10 @@ from repro.obs import sampler as sampler_mod
 from repro.obs.exporter import (
     HealthRegistry,
     TelemetryServer,
-    collect_registry,
     render_prometheus,
 )
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, parse_metric_key
 from repro.parallel import AnnotatorPool, shared_memory_available
 
 
@@ -106,47 +106,6 @@ class TestRenderPrometheus:
         registry.gauge("g.bytes", path='a"b\\c').set(1.0)
         text = render_prometheus(registry.to_dict())
         assert r'g_bytes{path="a\"b\\c"} 1.0' in text
-
-
-# ----------------------------------------------------------------------
-# Live sources: scrape-time merge of cumulative snapshots
-# ----------------------------------------------------------------------
-class TestLiveSources:
-    def test_merge_is_scrape_local_and_idempotent(self):
-        with obs.scope(fresh=True) as (metrics, _tracer):
-            metrics.histogram("parallel.pool.chunk_seconds").observe(0.1)
-            worker = MetricsRegistry()
-            worker.histogram("parallel.pool.chunk_seconds").observe(0.5)
-            snapshot = worker.snapshot()
-            token = exporter.register_live_source(
-                lambda: [({"worker": 0}, snapshot)]
-            )
-            try:
-                first = collect_registry().to_dict()
-                second = collect_registry().to_dict()
-            finally:
-                exporter.unregister_live_source(token)
-            key = "parallel.pool.chunk_seconds{worker=0}"
-            # Cumulative snapshots merge into a throwaway registry per
-            # scrape: repeated scrapes must not double count, and the
-            # owner registry must stay untouched.
-            assert first["histograms"][key]["count"] == 1
-            assert second["histograms"][key]["count"] == 1
-            assert key not in metrics.to_dict()["histograms"]
-            assert (
-                first["histograms"]["parallel.pool.chunk_seconds"]["count"]
-                == 1
-            )
-
-    def test_failing_source_skipped(self):
-        def broken():
-            raise RuntimeError("worker went away")
-
-        token = exporter.register_live_source(broken)
-        try:
-            collect_registry()  # must not raise
-        finally:
-            exporter.unregister_live_source(token)
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +422,7 @@ def texts(corpus, annotator):
 
 @contextmanager
 def _live_pool(annotator, workers=2):
-    """Observed pool shipping a telemetry snapshot after every task."""
+    """Observed pool shipping its telemetry after every task."""
     with obs.scope(fresh=True) as (metrics, tracer):
         with compute_dtype(np.float32):
             pool = AnnotatorPool.from_annotator(
@@ -474,6 +433,16 @@ def _live_pool(annotator, workers=2):
             yield pool, metrics
         finally:
             pool.close()
+
+
+def _chunk_counts(metrics):
+    """Owner-registry ``parallel.pool.chunks`` per worker rank."""
+    counts = {}
+    for key, value in metrics.to_dict()["counters"].items():
+        name, labels = parse_metric_key(key)
+        if name == "parallel.pool.chunks" and "worker" in labels:
+            counts[int(labels["worker"])] = value
+    return counts
 
 
 def _wait_until(predicate, timeout=10.0):
@@ -488,20 +457,20 @@ def _wait_until(predicate, timeout=10.0):
 @needs_shm
 class TestPoolLiveTelemetry:
     def test_worker_series_visible_mid_run(self, annotator, texts):
-        with _live_pool(annotator) as (pool, _metrics):
+        with _live_pool(annotator) as (pool, metrics):
             with compute_dtype(np.float32):
                 pool.annotate_batch(texts[:8], chunk_size=2)
-            live = pool.live_telemetry()
-            assert live, "no periodic worker snapshots reached the owner"
-            for labels, snapshot in live:
-                assert set(labels) == {"worker"}
-                assert any(
-                    key.startswith("parallel.pool.chunk_seconds")
-                    for key in snapshot.get("histograms", {})
+            # Shipments are merged into the owner registry on arrival,
+            # so its worker series exist while the pool is still open.
+            workers = _chunk_counts(metrics)
+            assert workers, "no worker shipment reached the owner"
+            histograms = metrics.to_dict()["histograms"]
+            for rank in workers:
+                assert (
+                    f"parallel.pool.chunk_seconds{{worker={rank}}}"
+                    in histograms
                 )
-            # The scrape view merges those snapshots under worker labels
-            # while the owner registry itself has no worker series yet.
-            text = render_prometheus(collect_registry().to_dict())
+            text = render_prometheus(metrics.to_dict())
             assert "parallel_pool_chunk_seconds{" in text
             assert 'worker="' in text
             assert pool.health()["ok"] is True
@@ -516,16 +485,36 @@ class TestPoolLiveTelemetry:
     def test_single_chunk_snapshot_visible_when_call_returns(
         self, annotator, texts
     ):
-        # Regression: workers queued a task's snapshot after its result,
+        # Regression: workers queued a task's shipment after its result,
         # and a call returns on its last result, so after a one-chunk
-        # call the live view missed the only task that ran.
-        with _live_pool(annotator) as (pool, _metrics):
+        # call the owner missed the only task that ran.
+        with _live_pool(annotator) as (pool, metrics):
             with compute_dtype(np.float32):
                 pool.annotate_batch(texts[:4], chunk_size=4)
-            live = pool.live_telemetry()
-            assert len(live) == 1, "the chunk's snapshot missed the call"
-            _labels, snapshot = live[0]
-            assert snapshot["counters"]["parallel.pool.chunks"] == 1
+            counts = _chunk_counts(metrics)
+            assert len(counts) == 1, "the chunk's shipment missed the call"
+            assert sum(counts.values()) == 1
+
+    def test_every_shipment_merged_exactly_once(self, annotator, texts):
+        # More workers than a 2-vCPU box has cores, so shipments from
+        # different workers interleave on the result queue.
+        with _live_pool(annotator, workers=3) as (pool, metrics):
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts, chunk_size=2)
+            # 18 texts in chunks rounded up to the batch size of 4.
+            dispatched = metrics.counter("parallel.pool.tasks").value
+            assert dispatched == 5
+            # Workers ship before their results, so the owner has every
+            # chunk the moment the call returns...
+            assert sum(_chunk_counts(metrics).values()) == dispatched
+            # ...scrapes read it without merging anything themselves...
+            with TelemetryServer(port=0) as server:
+                first = _get(server.url + "/metrics")
+                second = _get(server.url + "/metrics")
+            assert first[0] == 200 and first == second
+            # ...and the final shipments at close add nothing twice.
+            pool.close()
+            assert sum(_chunk_counts(metrics).values()) == dispatched
 
     def test_sigkill_flips_health_unhealthy(self, annotator, texts):
         with _live_pool(annotator) as (pool, _metrics):
@@ -541,14 +530,14 @@ class TestPoolLiveTelemetry:
 
     def test_dead_worker_telemetry_recovered(self, annotator, texts):
         # Regression: a worker SIGKILLed after doing work must still be
-        # represented in the merged owner metrics — its last periodic
-        # snapshot (interval=0 ships after every task) stands in for the
-        # final flush it never sent.
+        # represented in the owner metrics — what it shipped (interval=0
+        # ships after every task) was merged on arrival, so missing its
+        # final shipment loses nothing it had shipped.
         with _live_pool(annotator) as (pool, metrics):
             with compute_dtype(np.float32):
                 pool.annotate_batch(texts[:12], chunk_size=2)
-            shipped = {labels["worker"] for labels, _ in pool.live_telemetry()}
-            assert shipped, "no worker shipped a periodic snapshot"
+            shipped = set(_chunk_counts(metrics))
+            assert shipped, "no worker shipment reached the owner"
             victim = sorted(shipped)[0]
             os.kill(pool.worker_pids()[victim], signal.SIGKILL)
             assert _wait_until(
@@ -560,25 +549,38 @@ class TestPoolLiveTelemetry:
             assert key in histograms, sorted(histograms)
             assert histograms[key]["count"] >= 1
 
-    def test_serial_pool_reports_serial_health(self, annotator):
-        pool = AnnotatorPool.from_annotator(annotator, workers=1)
-        try:
-            assert pool.serial
-            assert pool.health() == {"ok": True, "serial": True, "workers": 0}
-            assert pool.live_telemetry() == []
-            assert pool.worker_pids() == []
-        finally:
-            pool.close()
+    def test_serial_pool_reports_serial_health(self, annotator, texts):
+        with obs.scope(fresh=True) as (metrics, _tracer):
+            pool = AnnotatorPool.from_annotator(annotator, workers=1)
+            try:
+                assert pool.serial
+                assert pool.health() == {
+                    "ok": True, "serial": True, "workers": 0,
+                }
+                pool.annotate_batch(texts[:4])
+                assert _chunk_counts(metrics) == {}
+                assert pool.worker_pids() == []
+            finally:
+                pool.close()
 
-    def test_unobserved_pool_registers_nothing(self, annotator):
+    def test_unobserved_pool_registers_nothing(self, annotator, texts):
+        # No shipments and no merges: the owner records nothing at all.
         assert obs.enabled is False
+        obs.reset()
         with compute_dtype(np.float32):
-            pool = AnnotatorPool.from_annotator(annotator, workers=2)
+            pool = AnnotatorPool.from_annotator(
+                annotator, workers=2, telemetry_interval=0.0
+            )
         try:
             assert "pool" not in exporter.health.check()["components"]
-            assert pool.live_telemetry() == []
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts[:8], chunk_size=2)
         finally:
             pool.close()
+        assert obs.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        assert obs.tracer.roots == []
 
 
 # ----------------------------------------------------------------------
@@ -621,13 +623,18 @@ class TestCliLiveFlags:
         # disabled, probes and sources unregistered, SIGUSR2 restored.
         assert obs.enabled is False
         assert exporter.health.check()["components"] == {}
-        assert exporter._live_sources == {}
         assert sampler_mod._gauge_sources == {}
         assert sampler_mod._pids_providers == {}
         assert signal.getsignal(signal.SIGUSR2) == sigusr2_before
+        # The workers' shipments were merged into the owner registry.
+        assert any(
+            key.startswith("parallel.pool.chunks{worker=")
+            for key in obs.metrics.to_dict()["counters"]
+        )
 
     def test_flags_off_by_default(self, artifacts):
         root, world_path, corpus_path, model_path = artifacts
+        obs.reset()
         code = cli.main([
             "evaluate", "--world", str(world_path),
             "--corpus", str(corpus_path), "--model", str(model_path),
@@ -635,4 +642,6 @@ class TestCliLiveFlags:
         ])
         assert code == 0
         assert obs.enabled is False
-        assert exporter._live_sources == {}
+        assert obs.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }

@@ -235,6 +235,36 @@ class TestSnapshotMerge:
         assert sorted(a.reservoir) == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert a.quantile(1.0) == 5.0
 
+    def test_shipments_are_disjoint_and_merge_under_the_rank(self):
+        """A shipment clears what it carries, so merging each one once
+        adds up to the worker's stream under ``worker=R`` — evicted
+        decision records included."""
+        from repro.obs import aggregate, provenance
+
+        with obs.scope(fresh=True) as (metrics, tracer):
+            provenance.enable(capacity=2)
+            try:
+                metrics.counter("chunks").inc(2)
+                with obs.span("chunk"):
+                    pass
+                for sentence in range(3):
+                    provenance.record_decision(sentence, 0, tier="model")
+                first = aggregate.take_shipment()
+                assert metrics.snapshot()["counters"] == {}
+                assert tracer.roots == []
+                assert provenance.snapshot_records() == []
+                metrics.counter("chunks").inc()
+                second = aggregate.take_shipment()
+                for shipment in (first, second):
+                    aggregate.merge_telemetry(shipment, worker=1)
+                assert metrics.to_dict()["counters"] == {"chunks{worker=1}": 3}
+                assert [span.name for span in tracer.roots] == ["chunk"]
+                rows = provenance.recorder().drain()
+                assert [row["sentence_id"] for row in rows] == [0, 1, 2]
+                assert {row["worker"] for row in rows} == {1}
+            finally:
+                provenance.reset()
+
     def test_tracer_snapshot_merge_keeps_pids(self):
         owner, remote = SpanTracer(), SpanTracer()
         with owner.span("local"):

@@ -185,34 +185,6 @@ class TestRecorder:
         assert isinstance(stored.confidence, float)
         json.dumps(stored.to_dict())  # JSON-safe all the way down
 
-    def test_fill_never_clobbers_and_stamps_worker_once(self):
-        rec = ProvenanceRecorder(capacity=8)
-        rec.record(3, 1, surface="Ada", slices=["tail"])
-        rec.fill(
-            {
-                "sentence_id": 3,
-                "mention_index": 1,
-                "surface": "SHIPPED",
-                "tier": "model",
-                "confidence": 0.8,
-            },
-            worker=2,
-        )
-        (stored,) = rec.records()
-        assert stored.surface == "Ada"  # owner enrichment survives
-        assert stored.tier == "model"  # blank field filled
-        assert stored.confidence == 0.8
-        assert stored.worker == 2
-        rec.fill({"sentence_id": 3, "mention_index": 1}, worker=5)
-        assert rec.records()[0].worker == 2  # first rank sticks
-
-    def test_fill_inserts_missing_keys(self):
-        rec = ProvenanceRecorder(capacity=8)
-        rec.fill({"sentence_id": 9, "mention_index": 0, "tier": "model"}, worker=1)
-        (stored,) = rec.records()
-        assert stored.key == (9, 0)
-        assert stored.worker == 1
-
     def test_eviction_is_oldest_first_and_spills(self, tmp_path):
         spill = tmp_path / "spill.jsonl"
         rec = ProvenanceRecorder(capacity=2, spill_path=str(spill))
@@ -434,6 +406,26 @@ class TestPooledProvenance:
         assert {record.tier for record in captured} == {"tier0", "model"}
         assert all(record.gold_entity_id is None for record in captured)
 
+    def test_pooled_capture_keeps_every_record(self, annotator, texts):
+        # Regression: workers shipped cumulative copies of a ring capped
+        # at DEFAULT_CAPACITY, so records evicted between shipments never
+        # reached the owner (8,192 of 9,900 kept here). Each shipment now
+        # drains the eviction backlog along with the ring.
+        many = (texts * 400)[:6000]
+        with _capture(capacity=10 * len(many)) as recorder:
+            with self._pool(annotator) as pool:
+                annotated = pool.annotate_batch(many)
+            captured = recorder.records()
+        expected = {
+            (doc, index)
+            for doc, mentions in enumerate(annotated)
+            for index in range(len(mentions))
+        }
+        assert len(expected) > 2 * provenance.DEFAULT_CAPACITY
+        assert len(captured) == len(expected)
+        assert {record.key for record in captured} == expected
+        assert all(record.worker >= 0 for record in captured)
+
     def test_pool_annotations_identical_with_provenance_on_vs_off(
         self, annotator, texts
     ):
@@ -447,20 +439,16 @@ class TestPooledProvenance:
     def test_live_provenance_visible_mid_run_and_over_http(
         self, annotator, texts
     ):
-        from repro.obs import exporter
-        from repro.obs.exporter import TelemetryServer, collect_provenance
+        from repro.obs.exporter import TelemetryServer
 
-        with _capture():
+        with _capture() as recorder:
             with self._pool(annotator, telemetry_interval=0.0) as pool:
                 pool.annotate_batch(texts[:8], chunk_size=2)
-                rows = pool.live_provenance()
+                # Shipped rows are upserted into the owner ring on
+                # arrival, so they are there while the pool is open.
+                rows = provenance.snapshot_records()
                 assert rows, "no worker shipped provenance mid-run"
                 assert all(row["worker"] >= 0 for row in rows)
-                merged = collect_provenance()
-                assert merged["active"] is True
-                assert merged["num_records"] >= len(
-                    {(r["sentence_id"], r["mention_index"]) for r in rows}
-                )
                 server = TelemetryServer(port=0).start()
                 try:
                     with urllib.request.urlopen(
@@ -470,25 +458,22 @@ class TestPooledProvenance:
                 finally:
                     server.stop()
                 assert body["active"] is True
-                assert body["num_records"] == merged["num_records"]
-                assert {r["sentence_id"] for r in body["records"]} == {
-                    r["sentence_id"] for r in merged["records"]
-                }
-            assert exporter._provenance_sources == {}
+                assert body["num_records"] == len(rows)
+                assert body["records"] == rows
+            # The final shipments at close carry nothing new.
+            assert len(recorder) == len(rows)
 
     def test_crashed_worker_last_shipped_records_survive(
         self, annotator, texts
     ):
         # Mirror of the dead-worker telemetry recovery: interval=0 ships
-        # a cumulative snapshot after every task, so a SIGKILLed
-        # worker's records still reach the owner ring via the final
-        # merge's periodic-snapshot fallback.
+        # after every task and the owner upserts each shipment on
+        # arrival, so a SIGKILLed worker's shipped records stay in the
+        # owner ring through close.
         with _capture() as recorder:
             with self._pool(annotator, telemetry_interval=0.0) as pool:
                 pool.annotate_batch(texts[:12], chunk_size=2)
-                shipped = {
-                    row["worker"] for row in pool.live_provenance()
-                }
+                shipped = {record.worker for record in recorder.records()}
                 assert shipped, "no worker shipped provenance"
                 victim = sorted(shipped)[0]
                 os.kill(pool.worker_pids()[victim], signal.SIGKILL)
@@ -511,6 +496,26 @@ class TestPooledProvenance:
 # CLI: --provenance-out + repro explain
 # ----------------------------------------------------------------------
 class TestExplainCli:
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("explain_cli")
+        world_path = str(root / "world.npz")
+        corpus_path = str(root / "corpus.json")
+        model_path = str(root / "model.npz")
+        assert cli.main([
+            "generate-world", "--entities", "80", "--seed", "3",
+            "--out", world_path,
+        ]) == 0
+        assert cli.main([
+            "generate-corpus", "--world", world_path, "--pages", "20",
+            "--seed", "3", "--out", corpus_path,
+        ]) == 0
+        assert cli.main([
+            "train", "--world", world_path, "--corpus", corpus_path,
+            "--epochs", "1", "--out", model_path,
+        ]) == 0
+        return world_path, corpus_path, model_path
+
     def _audit_file(self, tmp_path):
         path = tmp_path / "audit.jsonl"
         rec = ProvenanceRecorder(capacity=16)
@@ -548,26 +553,13 @@ class TestExplainCli:
         assert cli.main(["explain", str(path), "--reason", "type-veto"]) == 1
         assert "no matching decision records" in capsys.readouterr().err
 
-    def test_evaluate_cli_writes_complete_audit(self, tmp_path, capsys):
+    def test_evaluate_cli_writes_complete_audit(
+        self, artifacts, tmp_path, capsys
+    ):
         # End to end through the real CLI: every mention of the split
         # must land in the JSONL, predictions unchanged vs. a plain run.
-        root = tmp_path
-        world_path = str(root / "world.npz")
-        corpus_path = str(root / "corpus.json")
-        model_path = str(root / "model.npz")
-        audit_path = str(root / "audit.jsonl")
-        assert cli.main([
-            "generate-world", "--entities", "80", "--seed", "3",
-            "--out", world_path,
-        ]) == 0
-        assert cli.main([
-            "generate-corpus", "--world", world_path, "--pages", "20",
-            "--seed", "3", "--out", corpus_path,
-        ]) == 0
-        assert cli.main([
-            "train", "--world", world_path, "--corpus", corpus_path,
-            "--epochs", "1", "--out", model_path,
-        ]) == 0
+        world_path, corpus_path, model_path = artifacts
+        audit_path = str(tmp_path / "audit.jsonl")
         capsys.readouterr()
         assert cli.main([
             "evaluate", "--world", world_path, "--corpus", corpus_path,
@@ -600,6 +592,41 @@ class TestExplainCli:
         out = capsys.readouterr().out
         assert "reason=confident" in out
         assert "(" in out  # titles resolved from the world KB
+
+    @needs_shm
+    def test_pooled_evaluate_audit_matches_serial(
+        self, artifacts, tmp_path
+    ):
+        # Pooled evaluate is the one path where the owner records after
+        # worker rows arrive: the tier-0 half and the slices are upserted
+        # onto the shipped model half. The audit must not depend on
+        # where the model ran, except for the rank that ran it.
+        world_path, corpus_path, model_path = artifacts
+
+        def audit(workers):
+            path = tmp_path / f"audit-{workers}.jsonl"
+            assert cli.main([
+                "evaluate", "--world", world_path, "--corpus", corpus_path,
+                "--model", model_path, "--cascade",
+                "--cascade-margin", str(STRICT.margin),
+                "--cascade-prior-mass", str(STRICT.prior_mass),
+                "--workers", str(workers), "--provenance-out", str(path),
+            ]) == 0
+            return [json.loads(line) for line in path.read_text().splitlines()]
+
+        serial, pooled = audit(1), audit(2)
+        escalated = {row["sentence_id"] for row in serial if row["tier"] == "model"}
+        assert len(escalated) >= 2, "the policy must escalate several sentences"
+        for row in serial:
+            assert row["worker"] == -1
+        for row in pooled:
+            assert (row["worker"] >= 0) == (row["sentence_id"] in escalated)
+        strip = ("worker", "seconds")
+        assert [
+            {k: v for k, v in row.items() if k not in strip} for row in pooled
+        ] == [
+            {k: v for k, v in row.items() if k not in strip} for row in serial
+        ]
 
 
 # ----------------------------------------------------------------------
