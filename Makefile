@@ -11,15 +11,15 @@ install:
 test:
 	pytest tests/
 
-# Repo-invariant linter + whole-program pass (import layering, resource
-# lifecycles, fork/thread safety) + runtime model-graph verifier
-# (docs/ANALYSIS.md). Strict over the package (including the
-# instantiated model zoo), warn-only over benchmarks/ and examples/.
-# ruff runs when available; the container image does not ship it, so
-# its absence is not an error.
+# Repo-invariant linter + whole-program pass (import layering and
+# confinement, resource lifecycles, fork/thread safety) + runtime
+# model-graph verifier (docs/ANALYSIS.md). Strict over the package
+# (including the instantiated model zoo); both passes warn-only over
+# benchmarks/ and examples/. ruff runs when available; the container
+# image does not ship it, so its absence is not an error.
 lint:
 	PYTHONPATH=src python -m repro.cli lint src/repro --project --models
-	PYTHONPATH=src python -m repro.cli lint benchmarks examples --warn-only
+	PYTHONPATH=src python -m repro.cli lint benchmarks examples --project --warn-only
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src/repro tests; \
 	else \
@@ -28,19 +28,18 @@ lint:
 
 # Inner-loop lint: per-file rules over files git reports as changed
 # only (falls back to the full walk outside a work tree). The
-# whole-program pass is skipped — it is inherently full-tree.
+# whole-program pass — layering, confinement (RA613), lifecycles, fork
+# safety — is skipped: it is inherently full-tree.
 lint-fast:
 	PYTHONPATH=src python -m repro.cli lint src/repro benchmarks examples \
 		--changed-only
 
-# CI gate: invariants first (the whole-program pass runs strict on
-# src/repro via `lint`, and warn-only over benchmarks/), then the
-# tier-1 test suite, then the parallel layer and the report/aggregation
-# path again under the strict spawn start method (everything crossing
-# the process boundary must pickle; nothing may rely on fork-inherited
-# state).
+# CI gate: invariants first (`lint`: strict over src/repro, warn-only
+# over benchmarks/ and examples/), then the tier-1 test suite, then the
+# parallel layer and the report/aggregation path again under the strict
+# spawn start method (everything crossing the process boundary must
+# pickle; nothing may rely on fork-inherited state).
 check: lint
-	PYTHONPATH=src python -m repro.cli lint benchmarks --project --warn-only
 	PYTHONPATH=src python -m pytest -x -q
 	REPRO_PARALLEL_START_METHOD=spawn PYTHONPATH=src \
 		python -m pytest tests/test_parallel.py tests/test_report.py \

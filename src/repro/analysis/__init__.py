@@ -42,7 +42,7 @@ from repro.analysis.model_lint import (
     walk_parameter_leaves,
 )
 from repro.analysis.project import PROJECT_RULES, analyze_project
-from repro.analysis.rules import RULES, all_rule_ids
+from repro.analysis.rules import RULES
 
 __all__ = [
     "Finding",
@@ -61,7 +61,6 @@ __all__ = [
     "PROJECT_RULES",
     "has_errors",
     "RULES",
-    "all_rule_ids",
     "walk_parameter_leaves",
     "check_registration",
     "check_grad_flow",

@@ -1,9 +1,9 @@
 """Declarative layering contract for the whole-program pass.
 
 This module is *data*, not analysis: it states which ``repro``
-subsystems may depend on which, which external modules are confined to
-a single subsystem, which modules legitimately own process-local
-mutable state, and where the fork boundary's entrypoints live. The
+subsystems may depend on which, which names are confined to their home
+packages, which modules legitimately own process-local mutable state,
+and where the fork boundary's entrypoints live. The
 enforcement lives in :mod:`repro.analysis.project`; editing the
 architecture means editing this file, in review, rather than silently
 growing a new edge.
@@ -15,11 +15,12 @@ Contract pieces
     import a target prefix, with per-module exceptions listed in
     ``ALLOWED_EDGES`` (each carrying a justification).
 
-``CONFINED_IMPORTS``
-    External modules that only one subsystem may import (RA613). These
-    are the whole-program form of the per-file RA601/RA602 rules:
-    process fan-out lives in ``repro.parallel``, memory mapping in
-    ``repro.store``.
+``CONFINED``
+    Dotted names that only their home packages may use (RA613): process
+    fan-out lives in ``repro.parallel``, memory mapping in
+    ``repro.store``, and the decision-record schema in ``repro.obs``.
+    A name covers everything under it (``multiprocessing`` covers
+    ``multiprocessing.shared_memory``).
 
 ``WORKER_STATE_OWNERS``
     Modules whose module-level mutable state is *by design* process
@@ -116,13 +117,20 @@ ALLOWED_EDGES: dict[tuple[str, str], str] = {
     ),
 }
 
-# External modules confined to one subsystem (RA613). The per-file
-# RA601/RA602 rules catch the same thing file-locally; expressing them
-# here too makes the confinement part of the one reviewed contract.
-CONFINED_IMPORTS: dict[str, tuple[str, ...]] = {
+# Dotted names confined to their home packages (RA613). A use is an
+# import, a from-import (checked as ``base.symbol``), or an attribute
+# chain that resolves to the name through an import alias
+# (``np.memmap`` after ``import numpy as np``).
+CONFINED: dict[str, tuple[str, ...]] = {
+    # Pool lifecycle, shared-memory cleanup and crash recovery.
     "multiprocessing": ("repro.parallel",),
-    "numpy.lib.format": ("repro.store",),
+    # Shard attachment, the LRU memory budget and manifest validation.
     "mmap": ("repro.store",),
+    "numpy.lib.format": ("repro.store",),
+    "numpy.memmap": ("repro.store",),
+    # One owner for the audit schema; capture goes through
+    # provenance.record_decision.
+    "repro.obs.provenance.DecisionRecord": ("repro.obs",),
 }
 
 # Modules whose module-level mutable state is documented process-local
@@ -153,36 +161,35 @@ PUBLIC_API_ALLOW: frozenset[str] = frozenset(
 )
 
 
+def _under(name: str, prefixes: tuple[str, ...]) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
+
+
 def edge_violation(importer: str, imported: str) -> ForbiddenEdge | None:
     """Return the violated contract edge for ``importer -> imported``."""
-    allowed = ALLOWED_EDGES.get((importer, imported))
-    if allowed is not None:
+    if (importer, imported) in ALLOWED_EDGES:
         return None
     for edge in FORBIDDEN_EDGES:
-        if any(
-            importer == p or importer.startswith(p + ".")
-            for p in edge.importers
-        ) and any(
-            imported == t or imported.startswith(t + ".")
-            for t in edge.targets
-        ):
+        if _under(importer, edge.importers) and _under(imported, edge.targets):
             return edge
     return None
 
 
-def confinement_violation(importer: str, external: str) -> tuple[str, ...] | None:
-    """Return the allowed homes if ``importer`` may not import ``external``."""
-    for confined, homes in CONFINED_IMPORTS.items():
-        if external == confined or external.startswith(confined + "."):
-            if not any(
-                importer == h or importer.startswith(h + ".") for h in homes
-            ):
-                return homes
+def confined_homes(name: str) -> tuple[str, ...] | None:
+    """Home packages of the ``CONFINED`` entry covering ``name``."""
+    for confined, homes in CONFINED.items():
+        if _under(name, (confined,)):
+            return homes
     return None
 
 
+def confinement_violation(user: str, name: str) -> tuple[str, ...] | None:
+    """Return the home packages if module ``user`` may not use ``name``."""
+    homes = confined_homes(name)
+    if homes is None or _under(user, homes):
+        return None
+    return homes
+
+
 def owns_worker_state(module: str) -> bool:
-    return any(
-        module == owner or module.startswith(owner + ".")
-        for owner in WORKER_STATE_OWNERS
-    )
+    return _under(module, WORKER_STATE_OWNERS)

@@ -6,12 +6,11 @@ Files inside the ``repro`` package are categorized by subpackage:
 modeling rules (RA201/RA301) only apply under ``nn``/``core``/``text``/
 ``baselines``/``downstream``, the obs-guard rules skip ``repro/obs``
 (the instrumentation itself), ``nn/tensor.py`` — which *defines* the
-dtype policy — is exempt from RA201, ``repro/parallel`` — the one
-blessed fork-safety path — is exempt from RA601, ``repro/store`` —
-the entity payload store layer — is exempt from RA602, and
-``repro/cascade`` — which owns the confidence policy — is exempt from
-RA603. Files outside the package (lint fixtures, benchmarks, examples)
-get every rule.
+dtype policy — is exempt from RA201, and ``repro/cascade`` — which owns
+the confidence policy — is exempt from RA603. Files outside the package
+(lint fixtures, benchmarks, examples) get every rule. Package
+confinement is not scoped here: the whole-program pass enforces it as
+RA613.
 
 Suppression
 -----------
@@ -21,7 +20,8 @@ A finding is suppressed by a comment on its reported line::
 
 ``# repro-lint: disable`` without ids suppresses every rule on that
 line. Suppressions are deliberately line-scoped: blanket file-level
-opt-outs would defeat the point of the linter.
+opt-outs would defeat the point of the linter. Both passes filter
+through :func:`unsuppressed`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import subprocess
 import tokenize
 from pathlib import Path
 
-from repro.analysis.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
+from repro.analysis.findings import SEVERITY_ERROR, Finding
 from repro.analysis.rules import RULES, FileContext
 
 MODELING_SUBPACKAGES = frozenset(
@@ -52,8 +52,6 @@ def _classify(path: Path) -> dict[str, bool]:
             "is_modeling": True,
             "is_obs_package": False,
             "defines_dtype_policy": False,
-            "is_parallel_package": False,
-            "is_store_package": False,
             "is_cascade_package": False,
         }
     index = len(parts) - 1 - parts[::-1].index("repro")
@@ -62,8 +60,6 @@ def _classify(path: Path) -> dict[str, bool]:
         "is_modeling": subpackage in MODELING_SUBPACKAGES,
         "is_obs_package": subpackage == "obs",
         "defines_dtype_policy": subpackage == "nn" and path.name == "tensor.py",
-        "is_parallel_package": subpackage == "parallel",
-        "is_store_package": subpackage == "store",
         "is_cascade_package": subpackage == "cascade",
     }
 
@@ -93,6 +89,27 @@ def suppressed_rules(source: str) -> dict[int, frozenset[str] | None]:
     return suppressions
 
 
+def unsuppressed(findings: list[Finding], sources: dict[str, str]) -> list[Finding]:
+    """Drop findings suppressed on their line, sorted by path/line/rule.
+
+    ``sources`` maps a finding's path to the source text its
+    suppression comments are read from; a path without a source (an
+    unparseable file's RA000) keeps all of its findings.
+    """
+    by_path: dict[str, dict[int, frozenset[str] | None]] = {}
+    kept = []
+    for finding in findings:
+        if finding.path not in by_path:
+            source = sources.get(finding.path)
+            by_path[finding.path] = suppressed_rules(source) if source else {}
+        ids = by_path[finding.path].get(finding.line, frozenset())
+        if ids is None or finding.rule in ids:
+            continue
+        kept.append(finding)
+    kept.sort(key=lambda f: (f.path, f.line, f.rule))
+    return kept
+
+
 def lint_source(source: str, path: str, **flags: bool) -> list[Finding]:
     """Lint one in-memory source blob (used directly by tests)."""
     try:
@@ -112,16 +129,7 @@ def lint_source(source: str, path: str, **flags: bool) -> list[Finding]:
     findings: list[Finding] = []
     for rule in RULES:
         findings.extend(rule.check(ctx))
-
-    suppressions = suppressed_rules(source)
-    kept = []
-    for finding in findings:
-        ids = suppressions.get(finding.line, frozenset())
-        if ids is None or finding.rule in (ids or frozenset()):
-            continue
-        kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
+    return unsuppressed(findings, {path: source})
 
 
 def lint_file(path: Path) -> list[Finding]:
@@ -188,16 +196,12 @@ def changed_python_files(paths: list[str | Path]) -> list[Path] | None:
 
 
 def lint_paths(
-    paths: list[str | Path],
-    warn_only: bool = False,
-    changed_only: bool = False,
+    paths: list[str | Path], changed_only: bool = False
 ) -> list[Finding]:
     """Lint every ``*.py`` under ``paths``; directories recurse.
 
-    ``warn_only`` downgrades every finding to a warning, for trees that
-    are advisory in CI (benchmarks, examples). ``changed_only``
-    restricts the walk to files git reports as modified, falling back
-    to the full walk outside a work tree.
+    ``changed_only`` restricts the walk to files git reports as
+    modified, falling back to the full walk outside a work tree.
     """
     files = changed_python_files(paths) if changed_only else None
     if files is None:
@@ -205,18 +209,6 @@ def lint_paths(
     findings: list[Finding] = []
     for file_path in files:
         findings.extend(lint_file(file_path))
-    if warn_only:
-        findings = [
-            Finding(
-                rule=f.rule,
-                path=f.path,
-                line=f.line,
-                column=f.column,
-                message=f.message,
-                severity=SEVERITY_WARNING,
-            )
-            for f in findings
-        ]
     return findings
 
 

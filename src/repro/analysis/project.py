@@ -6,8 +6,9 @@ same suppression comments work as for the per-file rules:
 - **RA61x — import layering** (contract in
   :mod:`repro.analysis.layers`): RA610 forbidden dependency edges,
   RA611 top-level import cycles, RA612 never-imported public symbols
-  (warning), RA613 confined external imports (the whole-program form
-  of RA601/RA602).
+  (warning), RA613 uses of a ``CONFINED`` name outside its home
+  packages (imports, and attribute chains resolved through the
+  module's import aliases).
 - **RA7xx — resource lifecycles** (engine in
   :mod:`repro.analysis.flow`): acquires whose release is unreachable
   on an exception edge.
@@ -32,9 +33,13 @@ from pathlib import Path
 from repro.analysis import layers
 from repro.analysis.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
 from repro.analysis.flow import (
+    _is_def,
+    _tail_name,
+    _walk_shallow,
     check_lock_blocking,
     check_resource_lifecycles,
 )
+from repro.analysis.linter import unsuppressed
 
 # Classes whose construction means "a thread now exists (or will on
 # .start())" for RA801.
@@ -70,7 +75,7 @@ PROJECT_RULES: tuple[tuple[str, str, str], ...] = (
     ("RA610", "layer-violation", "imports must respect the layering contract in analysis/layers.py"),
     ("RA611", "import-cycle", "top-level internal imports must stay acyclic"),
     ("RA612", "dead-public-symbol", "public top-level symbols should be imported somewhere (warning)"),
-    ("RA613", "confined-import", "contract-confined external modules (multiprocessing, mmap, ...) stay in their home package"),
+    ("RA613", "confined-name", "layers.CONFINED names (multiprocessing, mmap, DecisionRecord, ...) are used only in their home packages"),
     ("RA701", "shm-lifecycle", "SharedMemory acquires need close/unlink reachable on exception edges"),
     ("RA702", "server-lifecycle", "TelemetryServer.start needs a reachable stop"),
     ("RA703", "sampler-lifecycle", "ResourceSampler.start needs a reachable stop"),
@@ -119,27 +124,6 @@ def _module_name(path: Path, root: Path, package: str) -> str:
     else:
         parts[-1] = parts[-1][:-3]
     return ".".join([package, *parts]) if parts else package
-
-
-def _is_def(node: ast.AST) -> bool:
-    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-
-
-def _walk_shallow(node: ast.AST):
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not _is_def(child) and not isinstance(child, ast.Lambda):
-            stack.extend(ast.iter_child_nodes(child))
-
-
-def _tail(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
 
 
 class Project:
@@ -203,7 +187,6 @@ class Project:
         is_pkg = info.path.name == "__init__.py"
         for node in ast.walk(info.tree):
             deferred = False
-            parent_chain = getattr(node, "lineno", None)
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 deferred = node.col_offset > 0
             if isinstance(node, ast.Import):
@@ -264,7 +247,6 @@ class Project:
                         info.module_aliases[bound] = target
                     else:
                         info.from_symbols[bound] = (target, alias.name)
-            _ = parent_chain
 
     def _collect_globals(self, info: ModuleInfo) -> None:
         for stmt in info.tree.body:
@@ -307,8 +289,8 @@ def _ctor_name(value: ast.expr) -> str | None:
             and value.func.attr == "start"
             and isinstance(value.func.value, ast.Call)
         ):
-            return _tail(value.func.value.func)
-        return _tail(value.func)
+            return _tail_name(value.func.value.func)
+        return _tail_name(value.func)
     return None
 
 
@@ -317,7 +299,41 @@ def _ctor_name(value: ast.expr) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+def _resolve_name(info: ModuleInfo, node: ast.expr) -> str | None:
+    """The dotted name an import-bound name or attribute chain denotes
+    (``np.lib.format`` -> ``numpy.lib.format``), or None."""
+    if isinstance(node, ast.Attribute):
+        base = _resolve_name(info, node.value)
+        return f"{base}.{node.attr}" if base else None
+    if isinstance(node, ast.Name):
+        if node.id in info.module_aliases:
+            return info.module_aliases[node.id]
+        if node.id in info.from_symbols:
+            return ".".join(info.from_symbols[node.id])
+    return None
+
+
+def _name_uses(info: ModuleInfo):
+    """``(dotted name, line, col)`` for every import, and for every
+    attribute whose base resolves through an import alias to a name
+    that is not itself confined. Matched against ``CONFINED``, each use
+    is reported once, where its chain enters the confined name: a chain
+    under a confined base was reported where that base entered (or, for
+    a bare alias, at its import)."""
+    for record in info.imports:
+        name = record.target
+        if record.symbol is not None:
+            name = f"{name}.{record.symbol}"
+        yield name, record.lineno, record.col
+    for node in ast.walk(info.tree):
+        if isinstance(node, ast.Attribute):
+            base = _resolve_name(info, node.value)
+            if base is not None and layers.confined_homes(base) is None:
+                yield f"{base}.{node.attr}", node.lineno, node.col_offset
+
+
 def check_layering(project: Project) -> list[Finding]:
+    """RA610 forbidden internal edges and RA613 confined names."""
     findings: list[Finding] = []
     for info in project.modules.values():
         for record in info.imports:
@@ -337,22 +353,22 @@ def check_layering(project: Project) -> list[Finding]:
                             ),
                         )
                     )
-            else:
-                homes = layers.confinement_violation(info.name, record.target)
-                if homes is not None:
-                    findings.append(
-                        Finding(
-                            rule="RA613",
-                            path=str(info.path),
-                            line=record.lineno,
-                            column=record.col,
-                            message=(
-                                f"contract-confined import: {record.target} "
-                                f"may only be imported under "
-                                f"{', '.join(homes)} (see analysis/layers.py)"
-                            ),
-                        )
-                    )
+        for name, line, col in _name_uses(info):
+            homes = layers.confinement_violation(info.name, name)
+            if homes is None:
+                continue
+            findings.append(
+                Finding(
+                    rule="RA613",
+                    path=str(info.path),
+                    line=line,
+                    column=col,
+                    message=(
+                        f"contract-confined name: {name} may only be used "
+                        f"under {', '.join(homes)} (see analysis/layers.py)"
+                    ),
+                )
+            )
     return findings
 
 
@@ -453,7 +469,7 @@ def _is_pytest_hooked(stmt: ast.AST) -> bool:
         return True
     for decorator in getattr(stmt, "decorator_list", []):
         node = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if _tail(node) == "fixture":
+        if _tail_name(node) == "fixture":
             return True
     return False
 
@@ -595,11 +611,7 @@ def _resolve_class_module(project: Project, info: ModuleInfo, cls: str) -> str |
 
 
 def _call_targets(
-    project: Project,
-    info: ModuleInfo,
-    fn_key: str,
-    fn: ast.AST,
-    cls_name: str | None,
+    project: Project, info: ModuleInfo, fn: ast.AST, cls_name: str | None
 ) -> set[str]:
     targets: set[str] = set()
     env = _function_local_types(project, info, fn)
@@ -662,7 +674,7 @@ def _build_call_graph(project: Project) -> dict[str, set[str]]:
         module_name, qual = key.split(":", 1)
         info = project.modules[module_name]
         cls_name = qual.split(".")[0] if "." in qual else None
-        graph[key] = _call_targets(project, info, key, fn, cls_name)
+        graph[key] = _call_targets(project, info, fn, cls_name)
     return graph
 
 
@@ -710,7 +722,7 @@ def check_fork_safety(project: Project) -> list[Finding]:
         fn = project.functions[key]
         for node in _walk_shallow(fn):
             if isinstance(node, ast.Call):
-                ctor = _tail(node.func)
+                ctor = _tail_name(node.func)
                 if ctor in _THREADY_CLASSES:
                     findings.append(
                         Finding(
@@ -823,8 +835,6 @@ def analyze_project(
     but are not themselves linted here. Per-file suppression comments
     apply to project findings exactly as to per-file ones.
     """
-    from repro.analysis.linter import suppressed_rules
-
     project = Project(Path(root), package=package)
     findings: list[Finding] = list(project.parse_errors)
     findings.extend(check_layering(project))
@@ -838,22 +848,5 @@ def analyze_project(
         findings.extend(check_resource_lifecycles(info.tree, str(info.path)))
         findings.extend(check_lock_blocking(info.tree, str(info.path)))
     findings.extend(check_fork_safety(project))
-
-    # Apply the per-line suppression comments.
-    suppression_cache: dict[str, dict[int, frozenset[str] | None]] = {}
-    kept: list[Finding] = []
-    for finding in findings:
-        smap = suppression_cache.get(finding.path)
-        if smap is None:
-            info = next(
-                (m for m in project.modules.values() if str(m.path) == finding.path),
-                None,
-            )
-            smap = suppressed_rules(info.source) if info else {}
-            suppression_cache[finding.path] = smap
-        ids = smap.get(finding.line, frozenset())
-        if ids is None or finding.rule in (ids or frozenset()):
-            continue
-        kept.append(finding)
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
+    sources = {str(info.path): info.source for info in project.modules.values()}
+    return unsuppressed(findings, sources)

@@ -32,8 +32,9 @@ only held by code review into machine-checked invariants:
 
 ``RA401`` unguarded-obs
     Metric emissions (``*.metrics.counter/gauge/histogram``,
-    ``*.tracer.span``) in hot paths must sit behind an ``obs.enabled``
-    guard (directly, or via a local alias like
+    ``*.tracer.span``) and decision-provenance capture
+    (``provenance.record_*``) in hot paths must sit behind an
+    ``obs.enabled`` guard (directly, or via a local alias like
     ``observing = obs.enabled``). ``obs.span`` self-guards and is
     exempt; so is the ``repro.obs`` package itself.
 
@@ -66,33 +67,11 @@ only held by code review into machine-checked invariants:
     names are checked, so registries that re-key merged snapshots
     through variables are unaffected.
 
-``RA405`` provenance-confinement
-    Per-mention decision records are an audit artifact with one
-    authoritative schema: ``DecisionRecord`` may only be constructed
-    inside ``repro.obs.provenance``, and capture calls
-    (``provenance.record_*``) elsewhere must sit behind an
-    ``obs.enabled`` guard (directly or via a local alias), exactly like
-    RA401 metric emissions — the capture path must be free when
-    observability is off.
-
 ``RA501`` cache-invalidation
     A ``Module`` subclass whose ``__init__`` creates a cache attribute
     (``*cache*``, except ``*_enabled`` flags) must override ``train``,
     ``load_state_dict`` and ``to_dtype`` and invalidate the cache in
     each — every parameter mutation must drop derived state.
-
-``RA601`` raw-multiprocessing
-    ``multiprocessing`` (and its submodules) may only be imported inside
-    ``repro.parallel`` — the one blessed fork-safety path. Ad-hoc
-    process fan-out elsewhere bypasses the shared-memory payload plane,
-    the start-method policy, and the crash/retry handling the pool
-    provides.
-
-``RA602`` raw-memmap
-    ``np.memmap`` / ``open_memmap`` (and shard payload files) may only
-    be touched inside ``repro.store`` — the entity payload store layer.
-    Ad-hoc memory mapping elsewhere bypasses the manifest validation,
-    the shard LRU/memory budget, and the ``store.*`` telemetry.
 
 ``RA603`` cascade-threshold
     Confidence-threshold literals for the tiered cascade (``margin``,
@@ -100,9 +79,12 @@ only held by code review into machine-checked invariants:
     appear inside ``repro.cascade`` — the policy lives in
     ``CascadePolicy`` and travels as a value. A numeric literal bound to
     one of those names anywhere else forks the abstention behaviour
-    from the blessed policy (the same confinement idea as RA601/RA602).
-    Only exact names are matched, so unrelated knobs like the mention
-    detector's ``min_prior_mass`` are untouched.
+    from the blessed policy. Only exact names are matched, so unrelated
+    knobs like the mention detector's ``min_prior_mass`` are untouched.
+
+Which package may use ``multiprocessing``, memory mapping or
+``DecisionRecord`` is not a per-file rule: the whole-program pass
+enforces it as RA613 over ``repro.analysis.layers.CONFINED``.
 """
 
 from __future__ import annotations
@@ -174,10 +156,6 @@ class FileContext:
     is_obs_package: bool = False
     # nn/tensor.py defines the dtype policy itself.
     defines_dtype_policy: bool = False
-    # repro.parallel is the one place allowed to import multiprocessing.
-    is_parallel_package: bool = False
-    # repro.store is the one place allowed to touch np.memmap directly.
-    is_store_package: bool = False
     # repro.cascade owns the confidence/abstention policy literals.
     is_cascade_package: bool = False
 
@@ -495,8 +473,9 @@ def check_fast_path_guards(ctx: FileContext) -> list[Finding]:
 # RA401 / RA402 — observability emissions
 # ----------------------------------------------------------------------
 def _is_emission(node: ast.Call) -> tuple[bool, str]:
-    """Recognize ``<x>.metrics.counter|gauge|histogram(...)`` and
-    ``<x>.tracer.span(...)`` / bare ``metrics.counter(...)`` forms."""
+    """Recognize ``<x>.metrics.counter|gauge|histogram(...)``,
+    ``<x>.tracer.span(...)`` and ``<x>.provenance.record_*(...)``, with
+    or without the ``<x>.`` prefix."""
     func = node.func
     if not isinstance(func, ast.Attribute):
         return False, ""
@@ -510,6 +489,8 @@ def _is_emission(node: ast.Call) -> tuple[bool, str]:
         return True, f"metrics.{func.attr}"
     if func.attr == "span" and owner_attr == "tracer":
         return True, "tracer.span"
+    if func.attr.startswith("record_") and owner_attr == "provenance":
+        return True, f"provenance.{func.attr}"
     return False, ""
 
 
@@ -565,26 +546,21 @@ def check_obs_emissions(ctx: FileContext) -> list[Finding]:
                     "hot paths must be free when observability is off",
                 )
             )
-        if node.args:
-            name_arg = node.args[0]
-            dynamic = any(
-                isinstance(sub, (ast.JoinedStr, ast.BinOp))
-                or (
-                    isinstance(sub, ast.Call)
-                    and _call_name(sub) in ("format", "join", "str", "repr")
+        # Provenance capture takes a record key, not a name.
+        if (
+            node.args
+            and not label.startswith("provenance.")
+            and _is_dynamic_value(node.args[0])
+        ):
+            findings.append(
+                ctx.finding(
+                    "RA402",
+                    node.args[0],
+                    f"{label} name is built per call (f-string/concat/"
+                    "format); use a static name and attach variability "
+                    "as label kwargs instead",
                 )
-                for sub in ast.walk(name_arg)
             )
-            if dynamic:
-                findings.append(
-                    ctx.finding(
-                        "RA402",
-                        name_arg,
-                        f"{label} name is built per call (f-string/concat/"
-                        "format); use a static name and attach variability "
-                        "as label kwargs instead",
-                    )
-                )
     return findings
 
 
@@ -807,85 +783,6 @@ def check_cache_invalidation(ctx: FileContext) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RA601 — multiprocessing only through repro.parallel
-# ----------------------------------------------------------------------
-def check_multiprocessing_imports(ctx: FileContext) -> list[Finding]:
-    """RA601 raw-multiprocessing."""
-    if ctx.is_parallel_package:
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".", 1)[0]
-                if root == "multiprocessing":
-                    findings.append(
-                        ctx.finding(
-                            "RA601",
-                            node,
-                            f"import of {alias.name!r} outside repro.parallel; "
-                            "process fan-out must go through the pool/shm "
-                            "layer in repro.parallel (one blessed fork-safety "
-                            "path)",
-                        )
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module == "multiprocessing" or module.startswith("multiprocessing."):
-                findings.append(
-                    ctx.finding(
-                        "RA601",
-                        node,
-                        f"import from {module!r} outside repro.parallel; "
-                        "process fan-out must go through the pool/shm layer "
-                        "in repro.parallel (one blessed fork-safety path)",
-                    )
-                )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# RA602 — memory mapping only through repro.store
-# ----------------------------------------------------------------------
-_MEMMAP_NAMES = frozenset({"memmap", "open_memmap"})
-
-
-def check_memmap_usage(ctx: FileContext) -> list[Finding]:
-    """RA602 raw-memmap."""
-    if ctx.is_store_package:
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module == "numpy" or module.startswith("numpy."):
-                for alias in node.names:
-                    if alias.name in _MEMMAP_NAMES:
-                        findings.append(
-                            ctx.finding(
-                                "RA602",
-                                node,
-                                f"import of {alias.name!r} outside repro.store; "
-                                "payload memory mapping must go through the "
-                                "EntityPayloadStore backends in repro.store "
-                                "(manifest validation, shard LRU, telemetry)",
-                            )
-                        )
-        elif isinstance(node, ast.Attribute) and node.attr in _MEMMAP_NAMES:
-            findings.append(
-                ctx.finding(
-                    "RA602",
-                    node,
-                    f"direct {node.attr!r} use outside repro.store; payload "
-                    "memory mapping must go through the EntityPayloadStore "
-                    "backends in repro.store (manifest validation, shard "
-                    "LRU, telemetry)",
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # RA603 — cascade confidence thresholds only inside repro.cascade
 # ----------------------------------------------------------------------
 # Exact names only: loose matching would flag unrelated knobs that
@@ -984,55 +881,6 @@ def check_cascade_thresholds(ctx: FileContext) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RA405 — decision provenance confinement
-# ----------------------------------------------------------------------
-def check_provenance_confinement(ctx: FileContext) -> list[Finding]:
-    """RA405 provenance-confinement."""
-    if ctx.is_obs_package:
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _call_name(node) == "DecisionRecord":
-            findings.append(
-                ctx.finding(
-                    "RA405",
-                    node,
-                    "DecisionRecord constructed outside repro.obs.provenance; "
-                    "capture through provenance.record_decision so the "
-                    "audit schema has one owner",
-                )
-            )
-            continue
-        func = node.func
-        if not isinstance(func, ast.Attribute) or not func.attr.startswith(
-            "record_"
-        ):
-            continue
-        owner = func.value
-        owner_attr = (
-            owner.attr if isinstance(owner, ast.Attribute) else (
-                owner.id if isinstance(owner, ast.Name) else None
-            )
-        )
-        if owner_attr != "provenance":
-            continue
-        aliases = _guard_aliases(_enclosing_function(ctx, node))
-        if not _is_guarded(ctx, node, aliases):
-            findings.append(
-                ctx.finding(
-                    "RA405",
-                    node,
-                    f"provenance.{func.attr}(...) is not behind an "
-                    "`obs.enabled` guard; decision capture must be free "
-                    "when observability is off",
-                )
-            )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
@@ -1065,7 +913,7 @@ RULES: tuple[Rule, ...] = (
     Rule(
         "RA401",
         "unguarded-obs",
-        "obs emissions must sit behind obs.enabled",
+        "metric/span emissions and provenance.record_* capture must sit behind obs.enabled",
         check_obs_emissions,
     ),
     Rule(
@@ -1081,29 +929,10 @@ RULES: tuple[Rule, ...] = (
         check_metric_naming,
     ),
     Rule(
-        "RA405",
-        "provenance-confinement",
-        "DecisionRecord construction and record_* capture stay in "
-        "repro.obs.provenance / behind obs.enabled",
-        check_provenance_confinement,
-    ),
-    Rule(
         "RA501",
         "cache-invalidation",
         "cache-bearing modules must invalidate in train/load_state_dict/to_dtype",
         check_cache_invalidation,
-    ),
-    Rule(
-        "RA601",
-        "raw-multiprocessing",
-        "multiprocessing may only be imported inside repro.parallel",
-        check_multiprocessing_imports,
-    ),
-    Rule(
-        "RA602",
-        "raw-memmap",
-        "np.memmap/open_memmap may only be used inside repro.store",
-        check_memmap_usage,
     ),
     Rule(
         "RA603",
@@ -1113,15 +942,11 @@ RULES: tuple[Rule, ...] = (
     ),
 )
 
-# Rule ids that are produced by a sibling check function (documented for
-# --list-rules even though they share an implementation).
+# Rule ids without a Rule entry of their own, documented for
+# --list-rules: RA000 comes from the parse step of both passes, RA102
+# and RA402 from a sibling check function.
 DERIVED_RULE_IDS: dict[str, str] = {
+    "RA000": "parse-error — every linted file must parse",
     "RA102": "param-in-set — parameters/modules stored in sets are unregistered",
     "RA402": "dynamic-metric-name — metric/span names must not be built per call",
 }
-
-
-def all_rule_ids() -> list[str]:
-    ids = [rule.rule_id for rule in RULES]
-    ids.extend(DERIVED_RULE_IDS)
-    return sorted(ids)

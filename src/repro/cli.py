@@ -627,15 +627,18 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: static invariant linter + runtime model verifier.
 
-    Exit code 0 when no error-severity findings remain, 1 otherwise
-    (always 0 with ``--warn-only``). See docs/ANALYSIS.md for the rule
-    catalogue and the suppression syntax.
+    Exit code 0 when no error-severity findings remain, 1 otherwise.
+    ``--warn-only`` downgrades the findings of every pass to warnings,
+    so it always exits 0. See docs/ANALYSIS.md for the rule catalogue
+    and the suppression syntax.
     """
     from pathlib import Path
 
     from repro.analysis import (
         PROJECT_RULES,
         RULES,
+        SEVERITY_ERROR,
+        SEVERITY_WARNING,
         analyze_project,
         findings_to_json,
         findings_to_sarif,
@@ -643,7 +646,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         lint_paths,
         verify_registered_models,
     )
-    from repro.analysis.findings import SEVERITY_WARNING
     from repro.analysis.rules import DERIVED_RULE_IDS
 
     if args.list_rules:
@@ -654,9 +656,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for rule_id, name, summary in PROJECT_RULES:
             print(f"{rule_id} {name}: {summary}")
         return 0
-    findings = lint_paths(
-        args.paths, warn_only=args.warn_only, changed_only=args.changed_only
-    )
+    findings = lint_paths(args.paths, changed_only=args.changed_only)
     if args.project:
         # The whole-program pass needs a package root, so it runs over
         # each *directory* argument (and always over the full tree —
@@ -665,19 +665,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
             p for p in ("tests", "benchmarks", "examples") if Path(p).is_dir()
         ]
         for path in args.paths:
-            if not Path(path).is_dir():
-                continue
-            project_findings = analyze_project(
-                path, reference_roots=reference_roots
-            )
-            if args.warn_only:
-                project_findings = [
-                    dataclasses.replace(f, severity=SEVERITY_WARNING)
-                    for f in project_findings
-                ]
-            findings = findings + project_findings
+            if Path(path).is_dir():
+                findings += analyze_project(path, reference_roots=reference_roots)
     if args.models:
-        findings = findings + verify_registered_models()
+        findings += verify_registered_models()
+    if args.warn_only:
+        findings = [
+            dataclasses.replace(f, severity=SEVERITY_WARNING) for f in findings
+        ]
     output_format = "json" if args.json else args.format
     if output_format == "json":
         print(findings_to_json(findings))
@@ -686,9 +681,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
     else:
         for finding in findings:
             print(finding.format())
-        label = "error(s)" if has_errors(findings) else "warning(s)"
         if findings:
-            print(f"{len(findings)} {label}", file=sys.stderr)
+            errors = sum(f.severity == SEVERITY_ERROR for f in findings)
+            print(
+                f"{errors} error(s), {len(findings) - errors} warning(s)",
+                file=sys.stderr,
+            )
     return 1 if has_errors(findings) else 0
 
 

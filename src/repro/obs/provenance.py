@@ -28,10 +28,9 @@ same upsert, stamped with the worker's rank. No owner path records a
 key before that key's worker rows have arrived, so upserting in arrival
 order builds the record serial capture would.
 
-Lint rule RA405 confines :class:`DecisionRecord` construction and
-``record_*`` emission to this module's helpers, guarded by
-``obs.enabled`` — the same hygiene contract RA401 enforces for metric
-emission.
+Lint rule RA613 confines :class:`DecisionRecord` to ``repro.obs``, and
+RA401 keeps every ``record_*`` capture call behind ``obs.enabled``, the
+same guard it enforces for metric emission.
 """
 
 from __future__ import annotations
@@ -248,7 +247,7 @@ def record_decision(sentence_id: int, mention_index: int, **fields: Any) -> None
 
     No-op unless :func:`enable` ran; decision paths guard the call with
     ``obs.enabled and provenance.active`` so the disabled fast path
-    never reaches here (RA405).
+    never reaches here (RA401).
     """
     if not active:
         return

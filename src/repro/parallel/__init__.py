@@ -1,7 +1,7 @@
 """Parallel execution layer: worker pools, shared payloads, prefetching.
 
 This package is the repo's one blessed path to process-level
-parallelism (lint rule RA601 flags ``multiprocessing`` imports anywhere
+parallelism (lint rule RA613 flags ``multiprocessing`` uses anywhere
 else). Three pillars:
 
 - :mod:`repro.parallel.shm` — pack frozen model parameters and the

@@ -37,7 +37,7 @@ import traceback
 from collections.abc import Callable, Iterable, Sequence
 
 # The one blessed fork-safety path: everything multiprocessing lives in
-# repro.parallel (enforced by lint rule RA601 elsewhere in the tree).
+# repro.parallel (enforced by lint rule RA613 elsewhere in the tree).
 import multiprocessing as _mp
 
 import numpy as np

@@ -1,12 +1,7 @@
-"""Lint fixture: RA405 provenance-confinement."""
+"""Lint fixture: RA401 on decision-provenance capture."""
 
 import repro.obs as obs
 from repro.obs import provenance
-from repro.obs.provenance import DecisionRecord
-
-
-def rogue_construction(sentence_id):
-    return DecisionRecord(sentence_id=sentence_id, mention_index=0)
 
 
 def unguarded_capture(sentence_id):
