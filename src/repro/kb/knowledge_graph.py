@@ -10,16 +10,17 @@ Two kinds of pairwise features back ``KG2Ent`` (Section 3.2 / B.2):
 
 Both are exposed through :meth:`KnowledgeGraph.candidate_adjacency`,
 which extracts the (M*K, M*K) sub-matrix for one sentence's candidate
-set — the ``K`` matrix of the paper.
+set — the ``K`` matrix of the paper. The lookup runs over a sorted
+index of directed edge keys ``a * num_entities + b`` (one per
+``use_weights`` value, built on first use), so it needs only numpy.
+The keys are exact while ``num_entities ** 2 < 2 ** 63``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.errors import KnowledgeBaseError
 from repro.kb.schema import Triple
@@ -36,9 +37,8 @@ class KnowledgeGraph:
         # neighbor id -> set of relation ids connecting the pair
         self._adjacency: dict[int, dict[int, set[int]]] = {}
         self._weights: dict[tuple[int, int], float] = {}
-        # Lazily built CSR views for vectorized sub-matrix extraction.
-        self._csr_binary: sparse.csr_matrix | None = None
-        self._csr_weighted: sparse.csr_matrix | None = None
+        # use_weights -> (sorted edge keys, their values), built on first use.
+        self._edge_index: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         for triple in triples:
             self.add_triple(triple)
 
@@ -55,7 +55,7 @@ class KnowledgeGraph:
         """Record a triple; adjacency is treated as undirected."""
         self._check_id(triple.subject_id)
         self._check_id(triple.object_id)
-        self._csr_binary = self._csr_weighted = None  # invalidate views
+        self._edge_index.clear()  # invalidate views
         self._triples.append(triple)
         self._adjacency.setdefault(triple.subject_id, {}).setdefault(
             triple.object_id, set()
@@ -70,7 +70,7 @@ class KnowledgeGraph:
         self._check_id(b)
         if weight < 0:
             raise KnowledgeBaseError(f"edge weight must be non-negative, got {weight}")
-        self._csr_binary = self._csr_weighted = None  # invalidate views
+        self._edge_index.clear()  # invalidate views
         key = (min(a, b), max(a, b))
         self._weights[key] = max(self._weights.get(key, 0.0), weight)
 
@@ -121,34 +121,34 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Matrices for KG2Ent
     # ------------------------------------------------------------------
-    def _csr(self, use_weights: bool) -> sparse.csr_matrix:
-        """Lazily build (and cache) a CSR view of the adjacency."""
-        cached = self._csr_weighted if use_weights else self._csr_binary
-        if cached is not None:
-            return cached
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for a, neighbors in self._adjacency.items():
-            for b in neighbors:
-                rows.append(a)
-                cols.append(b)
-                data.append(1.0)
+    def _edges(self, use_weights: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted int64 keys ``a * num_entities + b`` of every directed
+        edge and their float64 values, ending in a sentinel key that no
+        pair reaches (so a search never runs off the end).
+
+        Triple edges have value 1.0. With ``use_weights``, a pair with
+        only a weighted edge has its recorded weight.
+        """
+        index = self._edge_index.get(use_weights)
+        if index is not None:
+            return index
+        n = self.num_entities
+        keys = [a * n + b for a, row in self._adjacency.items() for b in row]
+        values = [1.0] * len(keys)
         if use_weights:
             for (a, b), weight in self._weights.items():
                 # Triple edges take precedence (weight 1.0, already added).
                 if b not in self._adjacency.get(a, {}):
-                    rows.extend((a, b))
-                    cols.extend((b, a))
-                    data.extend((weight, weight))
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.num_entities, self.num_entities)
-        )
-        if use_weights:
-            self._csr_weighted = matrix
-        else:
-            self._csr_binary = matrix
-        return matrix
+                    keys.extend((a * n + b, b * n + a))
+                    values.extend((weight, weight))
+        keys.append(np.iinfo(np.int64).max)
+        values.append(0.0)
+        # np.unique sorts the keys and keeps one of the two copies a
+        # weighted self-pair lists.
+        unique, first = np.unique(np.asarray(keys, dtype=np.int64), return_index=True)
+        index = (unique, np.asarray(values, dtype=np.float64)[first])
+        self._edge_index[use_weights] = index
+        return index
 
     def candidate_adjacency(
         self,
@@ -162,41 +162,49 @@ class KnowledgeGraph:
         ----------
         candidate_ids:
             1-D integer array (length M*K) of entity ids; entries equal to
-            ``pad_id`` are padding and receive no edges.
+            ``pad_id`` are padding and receive no edges. Every other entry
+            must lie in ``[0, num_entities)``.
         use_weights:
             If True, use weighted edges (co-occurrence); otherwise binary
             triple adjacency.
 
         Returns
         -------
-        (L, L) float matrix where L = len(candidate_ids). Identical
+        (L, L) float64 matrix where L = len(candidate_ids). Identical
         entity ids are left unlinked (a mention's duplicate candidates
         must not boost each other), and padded entries receive no edges.
 
-        Implementation: the global adjacency is cached as a CSR matrix;
-        the sub-matrix is a vectorized double fancy-index, so per-sentence
-        extraction is O(nnz in the slice) instead of O(L²) Python loops.
+        Raises
+        ------
+        KnowledgeBaseError
+            If a non-pad id lies outside ``[0, num_entities)``: its key
+            would alias another pair's.
+
+        Implementation: the L×L grid of pair keys ``a * num_entities + b``
+        is looked up in the sorted edge-key index with one
+        ``np.searchsorted``, so a sentence costs a few numpy calls over
+        L² keys. Keys are exact while ``num_entities ** 2 < 2 ** 63``.
         """
         ids = np.asarray(candidate_ids, dtype=np.int64)
-        length = ids.shape[0]
         valid = ids != pad_id
-        safe = np.where(valid, ids, 0)
-        csr = self._csr(use_weights)
-        matrix = csr[safe][:, safe].toarray().astype(np.float64)
-        # Kill padded rows/columns and same-entity pairs.
-        matrix[~valid, :] = 0.0
-        matrix[:, ~valid] = 0.0
-        same = np.equal.outer(ids, ids)
-        matrix[same] = 0.0
-        return matrix
-
-    def to_networkx(self) -> nx.Graph:
-        """Export the triple adjacency as an undirected networkx graph."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_entities))
-        for triple in self._triples:
-            graph.add_edge(triple.subject_id, triple.object_id, relation=triple.relation_id)
-        return graph
+        bad = valid & ((ids < 0) | (ids >= self.num_entities))
+        if bad.any():
+            raise KnowledgeBaseError(
+                f"candidate ids {ids[bad].tolist()} out of range "
+                f"[0, {self.num_entities}) and not the pad id {pad_id}"
+            )
+        keys, values = self._edges(use_weights)
+        grid = ids[:, None] * self.num_entities + ids[None, :]
+        found = np.searchsorted(keys, grid)
+        # Padded rows/columns (whose keys mean nothing) and same-entity
+        # pairs get no edge.
+        linked = (
+            (keys[found] == grid)
+            & valid[:, None]
+            & valid[None, :]
+            & (ids[:, None] != ids[None, :])
+        )
+        return np.where(linked, values[found], 0.0)
 
 
 class TwoHopKnowledgeGraph:

@@ -1,5 +1,10 @@
 """Tests for the knowledge base, knowledge graph, aliases, and world gen."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,6 +165,22 @@ class TestKnowledgeGraph:
         assert adj[0, 1] == 0.0
         assert adj[0, 2] == 1.0
 
+    def test_candidate_adjacency_rejects_out_of_range_ids(self):
+        kg = KnowledgeGraph(5, [Triple(3, 0, 1)])
+        kg.add_weighted_edge(0, 4, 2.0)
+        # -2 must not wrap around to entity 3 and report its edge to 1;
+        # 5 must not alias the key of another pair.
+        for ids in ([-2, 1], [1, 5], [0, -1, 7], [-6, 4]):
+            for use_weights in (False, True):
+                with pytest.raises(KnowledgeBaseError, match="out of range"):
+                    kg.candidate_adjacency(
+                        np.array(ids), use_weights=use_weights, pad_id=-1
+                    )
+        # The pad id itself may lie outside the range.
+        adj = kg.candidate_adjacency(np.array([3, 99, 1]), pad_id=99)
+        assert adj[0, 2] == adj[2, 0] == 1.0
+        assert adj.sum() == 2.0
+
     def test_candidate_adjacency_same_entity_unlinked(self):
         kg = KnowledgeGraph(5, [Triple(0, 0, 0)])
         ids = np.array([0, 0])
@@ -181,12 +202,6 @@ class TestKnowledgeGraph:
         kg = KnowledgeGraph(4)
         with pytest.raises(KnowledgeBaseError):
             kg.add_weighted_edge(0, 1, -1.0)
-
-    def test_to_networkx(self):
-        kg = KnowledgeGraph(4, [Triple(0, 0, 1)])
-        graph = kg.to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.has_edge(0, 1)
 
     def test_cooccurrence_graph_thresholds(self):
         sentences = [[0, 1]] * 12 + [[0, 2]] * 3
@@ -454,3 +469,24 @@ class TestWorldGeneration:
             WorldConfig(coarse_mixture=(1.0,)).validate()
         with pytest.raises(ConfigError):
             WorldConfig(unseen_fraction=0.9).validate()
+
+
+def test_runtime_imports_neither_scipy_nor_networkx():
+    """The runtime needs numpy only. Loading scipy or networkx would add
+    tens of MB to every process, pool workers included, so a fresh
+    interpreter that loads the CLI, the annotator, the pool and the KB
+    must not have imported either."""
+    probe = (
+        "import sys\n"
+        "import repro.cli, repro.core.annotator, repro.parallel, repro.kb\n"
+        "loaded = [m for m in ('scipy', 'networkx') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr

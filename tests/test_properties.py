@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.regularization import P_MAX, P_MIN, make_scheme
 from repro.corpus.vocab import Vocabulary
@@ -172,18 +172,60 @@ class TestKnowledgeGraphProperties:
                 assert kg.connected(a, b) == kg.connected(b, a)
 
     @given(
+        # (a, b, None) is a triple; (a, b, weight) a weighted edge.
         edges=st.lists(
-            st.tuples(st.integers(0, 7), st.integers(0, 3), st.integers(0, 7)),
-            max_size=15,
+            st.tuples(
+                st.integers(0, 7), st.integers(0, 7), st.none() | st.floats(0, 10)
+            ),
+            max_size=20,
         ),
-        ids=st.lists(st.integers(-1, 7), min_size=2, max_size=6),
+        split=st.integers(0, 20),
+        ids=st.lists(st.integers(-1, 7), min_size=2, max_size=8),
     )
-    def test_candidate_adjacency_symmetric_nonnegative(self, edges, ids):
-        kg = KnowledgeGraph(8, [Triple(s, r, o) for s, r, o in edges])
-        matrix = kg.candidate_adjacency(np.array(ids))
-        np.testing.assert_allclose(matrix, matrix.T)
-        assert (matrix >= 0).all()
-        assert np.diag(matrix).sum() == 0
+    @example(
+        # A pair with both kinds of edge, self-pairs of both kinds, and
+        # both kinds added after the first query.
+        edges=[
+            (2, 5, None), (5, 2, 0.5), (3, 3, None), (4, 4, 2.0), (1, 6, 1.5),
+            (1, 4, None),
+        ],
+        split=2,
+        ids=[2, 5, 3, 3, 4, 4, 1, 6, -1],
+    )
+    def test_candidate_adjacency_symmetric_nonnegative(self, edges, split, ids):
+        """Every cell equals the dict reference, before and after edges
+        are added (the cached edge index must not go stale)."""
+        kg = KnowledgeGraph(8)
+        ids = np.array(ids)
+
+        def add(batch):
+            for a, b, weight in batch:
+                if weight is None:
+                    kg.add_triple(Triple(a, 0, b))
+                else:
+                    kg.add_weighted_edge(a, b, weight)
+
+        def check():
+            for use_weights in (False, True):
+                matrix = kg.candidate_adjacency(ids, use_weights=use_weights)
+                assert matrix.dtype == np.float64
+                assert matrix.shape == (len(ids), len(ids))
+                np.testing.assert_array_equal(matrix, matrix.T)
+                assert (matrix >= 0).all()
+                for i, a in enumerate(ids.tolist()):
+                    for j, b in enumerate(ids.tolist()):
+                        if a == -1 or b == -1 or a == b:
+                            expected = 0.0
+                        elif use_weights:
+                            expected = kg.edge_weight(a, b)
+                        else:
+                            expected = 1.0 if kg.connected(a, b) else 0.0
+                        assert matrix[i, j] == expected, (i, j, use_weights)
+
+        add(edges[:split])
+        check()
+        add(edges[split:])
+        check()
 
 
 class TestRegularizationProperties:
