@@ -1,9 +1,8 @@
 # Convenience targets for the Bootleg reproduction.
 
-.PHONY: install test lint lint-fast check bench bench-core \
-	bench-core-baseline bench-fresh bench-parallel bench-store \
-	bench-cascade bench-cascade-baseline bench-summary obs-demo \
-	obs-live-demo report-demo examples clean-cache
+.PHONY: install test lint lint-fast check test-report bench \
+	bench-report bench-e2e bench-store obs-demo obs-live-demo \
+	report-demo examples clean-cache
 
 install:
 	pip install -e .
@@ -56,81 +55,29 @@ bench:
 bench-report:
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# Core microbenchmarks (forward pass, annotator throughput, collation)
-# compared against the committed baseline; fails on a >20% mean
-# regression. The baseline file is never rewritten by this target.
-bench-core:
-	pytest benchmarks/bench_perf_core.py --benchmark-only \
-		--benchmark-json=benchmarks/.bench_core_latest.json
-	python benchmarks/compare_to_baseline.py \
-		benchmarks/.bench_core_latest.json \
-		benchmarks/bench_core_baseline.json --max-regression 0.20
-
-# Explicitly refresh the committed baseline (run on the reference box
-# after an intentional perf change, then commit the JSON).
-bench-core-baseline:
-	pytest benchmarks/bench_perf_core.py --benchmark-only \
-		--benchmark-json=benchmarks/bench_core_baseline.json
-
-# Annotator-pool and prefetch speedup vs. the serial path; asserts
-# byte-identical outputs and bounded shared-memory overhead, and gates
-# the 2x-speedup floor on having >= 4 usable cores (see the script).
-# Fails on a >20% mean regression against the committed baseline
-# (benchmarks/bench_parallel_baseline.json; refresh it deliberately and
-# commit after an intentional perf change).
-bench-parallel:
-	mkdir -p benchmarks/results
-	PYTHONPATH=src python benchmarks/bench_parallel.py \
-		--out benchmarks/results/BENCH_parallel.json
-	python benchmarks/compare_to_baseline.py \
-		benchmarks/results/BENCH_parallel.json \
-		benchmarks/bench_parallel_baseline.json \
-		--max-regression 0.20
+# The performance ledger (BENCHMARK.json, bench_e2e/): the benchmark's
+# self-tests, then one run of every workload BENCHMARK.json lists, for
+# its run_seconds, at seed 1. Each run prints its conditions, its
+# end-to-end metrics and its correctness checks, and exits non-zero on a
+# failed call or check; the first such run stops the target. The first
+# run in a checkout also trains the benchmark model (cached under
+# .bench_build/).
+bench-e2e:
+	python3 bench_e2e/selftest.py
+	@seconds=$$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])') && \
+	for workload in $$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+		echo "bench_e2e: $$workload, $$seconds s"; \
+		python3 bench_e2e/run.py --workload $$workload --seed 1 \
+			--seconds $$seconds --trace 0 || exit $$?; \
+	done
 
 # Entity payload store gates (docs/ENTITY_STORE.md): (a) warm mmap row
 # gather within 1.3x of dense, (b) a 1M-entity synthetic payload served
 # under a fixed resident budget with store.resident_bytes telemetry,
-# (c) byte-identical annotations dense vs mmap. Fails on a >20% mean
-# regression against the committed baseline
-# (benchmarks/bench_store_baseline.json).
+# (c) byte-identical annotations dense vs mmap. Exits non-zero when a
+# gate fails.
 bench-store:
-	mkdir -p benchmarks/results
-	PYTHONPATH=src python benchmarks/bench_store.py \
-		--out benchmarks/results/BENCH_store.json
-	python benchmarks/compare_to_baseline.py \
-		benchmarks/results/BENCH_store.json \
-		benchmarks/bench_store_baseline.json \
-		--max-regression 0.20
-
-# Tiered-cascade gates (docs/CASCADE.md): (a) >= 2x end-to-end
-# annotation throughput over the full-model path on a head-heavy
-# corpus, (b) escalated-mention outputs byte-identical to a standalone
-# full-model pass over the escalated documents, (c) `repro report diff
-# --fail-on-regression` clean vs the full-model baseline report. Fails
-# on a >20% regression against the committed baseline (the
-# cascade_speedup entry gates in the higher-is-better direction).
-bench-cascade:
-	mkdir -p benchmarks/results
-	PYTHONPATH=src python benchmarks/bench_cascade.py \
-		--out benchmarks/results/BENCH_cascade.json
-	python benchmarks/compare_to_baseline.py \
-		benchmarks/results/BENCH_cascade.json \
-		benchmarks/bench_cascade_baseline.json \
-		--max-regression 0.20
-
-# Explicitly refresh the committed cascade baseline (run on the
-# reference box after an intentional perf change, then commit the JSON).
-bench-cascade-baseline:
-	mkdir -p benchmarks/results
-	PYTHONPATH=src python benchmarks/bench_cascade.py \
-		--out benchmarks/bench_cascade_baseline.json
-
-# Consolidate every benchmarks/results/BENCH_*.json written by the
-# suites above into one BENCH_summary.json (suite -> headline means),
-# so dashboards and CI annotations read a single file.
-bench-summary:
-	mkdir -p benchmarks/results
-	python benchmarks/bench_summary.py
+	PYTHONPATH=src python benchmarks/bench_store.py
 
 # Emit a sample telemetry bundle (metrics JSON + Chrome trace) from the
 # quickstart example into benchmarks/results/; load the trace in

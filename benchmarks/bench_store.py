@@ -13,25 +13,23 @@ Three gates, all enforced (exit 1 on failure):
     still returning byte-correct rows; shard attach/detach churn must
     show up in the ``store.shard_attach``/``store.shard_detach``
     counters.
-(c) **Byte-identical annotations** — the real annotator workload from
-    ``bench_perf_core`` must produce byte-identical annotations with the
-    dense and mmap backends.
+(c) **Byte-identical annotations** — the annotator workload of
+    ``build_perf_setup`` must produce byte-identical annotations with
+    the dense and mmap backends.
+
+``build_perf_setup`` and ``make_annotator`` also build the workload of
+the disabled-overhead guards in ``tests/test_obs.py``, which load this
+module by path.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_store.py \
-        --out benchmarks/results/BENCH_store.json
-
-The JSON output uses the pytest-benchmark shape
-(``{"benchmarks": [{"name", "stats": {"mean"}}]}``) so
-``compare_to_baseline.py`` can consume it.
+    PYTHONPATH=src python benchmarks/bench_store.py
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import tempfile
 import time
@@ -39,19 +37,77 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_perf_core import build_perf_setup, make_annotator  # noqa: E402
-
-import repro.obs as obs  # noqa: E402
-from repro.nn.tensor import compute_dtype  # noqa: E402
-from repro.store import (  # noqa: E402
+import repro.obs as obs
+from repro.core import BootlegAnnotator, BootlegConfig, BootlegModel
+from repro.corpus import (
+    CorpusConfig,
+    EntityCounts,
+    NedDataset,
+    build_vocabulary,
+    detokenize,
+    generate_corpus,
+)
+from repro.kb import WorldConfig, generate_world
+from repro.nn.tensor import compute_dtype
+from repro.store import (
     DEFAULT_SHARD_ROWS,
     DensePayloadStore,
     ShardedMmapStore,
     ShardedStoreWriter,
     write_sharded_store,
 )
+
+
+def build_perf_setup(num_entities: int = 300, num_pages: int = 60) -> dict:
+    """World + float64/float32 model pair + one collated batch + texts.
+
+    The models are untrained: the workload exercises the code paths,
+    not accuracy.
+    """
+    world = generate_world(WorldConfig(num_entities=num_entities, seed=31))
+    corpus = generate_corpus(world, CorpusConfig(num_pages=num_pages, seed=31))
+    vocab = build_vocabulary(corpus)
+    counts = EntityCounts.from_corpus(corpus, world.num_entities)
+    dataset = NedDataset(
+        corpus, "train", vocab, world.candidate_map, 6, kgs=[world.kg]
+    )
+    model = BootlegModel(
+        BootlegConfig(num_candidates=6, dropout=0.0),
+        world.kb,
+        vocab,
+        entity_counts=counts.counts,
+    )
+    model.eval()
+    # Same weights cast to float32 for the fast path.
+    model32 = BootlegModel(
+        BootlegConfig(num_candidates=6, dropout=0.0),
+        world.kb,
+        vocab,
+        entity_counts=counts.counts,
+    )
+    model32.load_state_dict(model.state_dict())
+    model32.half_precision()
+    model32.eval()
+    return {
+        "world": world,
+        "vocab": vocab,
+        "model": model,
+        "model32": model32,
+        "batch": dataset.collate(dataset.encoded[:32]),
+        "texts": [detokenize(list(s.tokens)) for s in corpus.sentences("test")[:16]],
+    }
+
+
+def make_annotator(perf_setup, model):
+    world = perf_setup["world"]
+    return BootlegAnnotator(
+        model,
+        perf_setup["vocab"],
+        world.candidate_map,
+        world.kb,
+        kgs=[world.kg],
+        num_candidates=6,
+    )
 
 
 def _measure(fn, repeat: int) -> float:
@@ -87,7 +143,7 @@ def _gate_throughput(
     repeat: int,
     max_ratio: float,
     failures: list[str],
-) -> tuple[float, float]:
+) -> None:
     mmap_store = ShardedMmapStore.open(store_dir)
     mmap_store.warm()
     # Fault every page once so the timed passes measure gather cost,
@@ -109,7 +165,6 @@ def _gate_throughput(
             f"{max_ratio:.2f}x gate"
         )
     mmap_store.close()
-    return dense_seconds, mmap_seconds
 
 
 def _gate_budget(
@@ -165,14 +220,13 @@ def _gate_budget(
         )
 
 
-def _gate_annotations(repeat: int, failures: list[str]) -> float:
+def _gate_annotations(failures: list[str]) -> None:
     setup = build_perf_setup()
     model = setup["model32"]
     annotator = make_annotator(setup, model)
     texts = setup["texts"] * 4
     with compute_dtype(np.float32):
         dense_out = annotator.annotate_batch(texts)
-        dense_seconds = _measure(lambda: annotator.annotate_batch(texts), repeat)
         with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
             # Shard small enough that the tiny model's payload actually
             # splits into several windows.
@@ -188,13 +242,10 @@ def _gate_annotations(repeat: int, failures: list[str]) -> float:
     print(f"gate (c) annotations dense vs mmap: {'identical' if same else 'DIVERGED'}")
     if not same:
         failures.append("annotations diverged between dense and mmap backends")
-    return dense_seconds
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write pytest-benchmark-shaped JSON here")
     parser.add_argument("--rows", type=int, default=1_000_000,
                         help="synthetic payload entities (default 1M)")
     parser.add_argument("--dim", type=int, default=64)
@@ -225,34 +276,14 @@ def main(argv: list[str] | None = None) -> int:
         ids = np.random.default_rng(args.seed + 1).integers(
             0, args.rows, size=args.batch
         )
-        dense_seconds, mmap_seconds = _gate_throughput(
+        _gate_throughput(
             dense_store, store_dir, ids, args.repeat, args.max_ratio, failures
         )
         _gate_budget(
             dense, store_dir, args.budget_shards, args.budget_batches,
             args.batch, args.seed + 2, failures,
         )
-    annotate_seconds = _gate_annotations(max(2, args.repeat // 2), failures)
-
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        report = {
-            "benchmarks": [
-                {"name": "store_gather_dense", "stats": {"mean": dense_seconds}},
-                {"name": "store_gather_mmap_warm", "stats": {"mean": mmap_seconds}},
-                {"name": "store_annotate_dense", "stats": {"mean": annotate_seconds}},
-            ],
-            "extra": {
-                "rows": args.rows,
-                "dim": args.dim,
-                "batch": args.batch,
-                "warm_ratio": mmap_seconds / dense_seconds,
-                "budget_shards": args.budget_shards,
-                "gates_failed": list(failures),
-            },
-        }
-        args.out.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.out}")
+    _gate_annotations(failures)
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

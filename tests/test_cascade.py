@@ -9,7 +9,6 @@ plumbing's pickling contract.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -407,8 +406,7 @@ class TestAnnotatorCascade:
 # ----------------------------------------------------------------------
 class TestPoolCascade:
     def test_worker_spec_carries_the_policy(self, world, vocab, model):
-        from repro.parallel import shared_memory_available
-        from repro.parallel.pool import AnnotatorPool
+        from repro.parallel import AnnotatorPool, shared_memory_available
 
         if not shared_memory_available():
             pytest.skip("POSIX shared memory unavailable")
@@ -416,17 +414,11 @@ class TestPoolCascade:
             model, vocab, world.candidate_map, world.kb, kgs=[world.kg],
             num_candidates=4, batch_size=4, cascade=STRICT,
         )
-        pool = AnnotatorPool.from_annotator(annotator, workers=2)
-        try:
-            spec = pool._build_spec()
-            assert spec.cascade == STRICT
-        finally:
-            if pool._store is not None:
-                pool._store.close(unlink=True)
-                pool._store = None
+        with AnnotatorPool.from_annotator(annotator, workers=2) as pool:
+            assert not pool.serial
+            assert pool._spec.cascade == STRICT
 
     def test_pool_matches_serial_cascade(self, world, vocab, model, texts):
-        from repro.nn import compute_dtype
         from repro.parallel import AnnotatorPool, shared_memory_available
 
         if not shared_memory_available():
@@ -436,19 +428,31 @@ class TestPoolCascade:
             num_candidates=4, batch_size=4, cascade=STRICT,
         )
         serial = annotator.annotate_batch(texts)
-        with compute_dtype(np.float32):
-            with AnnotatorPool.from_annotator(annotator, workers=2) as pool:
-                pooled = pool.annotate_batch(texts)
-        # Tier-0 answers are exact; escalated answers are computed from
-        # per-chunk batch compositions in the pool, so scores agree only
-        # numerically (docs/CASCADE.md).
-        assert [[(m.start, m.end, m.tier) for m in doc] for doc in serial] == [
-            [(m.start, m.end, m.tier) for m in doc] for doc in pooled
-        ]
+        with AnnotatorPool.from_annotator(annotator, workers=2) as pool:
+            pooled = pool.annotate_batch(texts)
+        assert {m.tier for doc in pooled for m in doc} == {
+            TIER_HEURISTIC, TIER_MODEL,
+        }
+        # Both sides run the default compute dtype. The pool batches
+        # escalated sentences per chunk, so scores may differ from the
+        # serial run's in the last ulps; every other field is exact
+        # (docs/CASCADE.md).
+        assert len(serial) == len(pooled)
         for doc_a, doc_b in zip(serial, pooled):
+            assert len(doc_a) == len(doc_b)
             for a, b in zip(doc_a, doc_b):
-                assert a.entity_id == b.entity_id
-                assert a.score == pytest.approx(b.score, abs=1e-4)
+                left, right = dataclasses.asdict(a), dataclasses.asdict(b)
+                assert left.pop("score") == pytest.approx(
+                    right.pop("score"), abs=1e-12
+                )
+                ranked_a, ranked_b = left.pop("candidates"), right.pop("candidates")
+                assert [title for title, _ in ranked_a] == [
+                    title for title, _ in ranked_b
+                ]
+                assert [score for _, score in ranked_a] == pytest.approx(
+                    [score for _, score in ranked_b], abs=1e-12
+                )
+                assert left == right
 
     def test_cascade_counters_survive_registry_merge(self):
         source = MetricsRegistry()
@@ -488,7 +492,7 @@ class TestReportTiers:
 
 
 # ----------------------------------------------------------------------
-# Satellites: detector bound, baseline direction support
+# Mention-detector scan bound
 # ----------------------------------------------------------------------
 class _ProbeCountingMap:
     """Delegating candidate-map spy that counts lookup probes."""
@@ -538,51 +542,3 @@ class TestDetectorBound:
         assert [d.span for d in wide.detect(tokens)] == [
             d.span for d in narrow.detect(tokens)
         ]
-
-
-class TestBaselineDirections:
-    def _write(self, path, entries):
-        path.write_text(json.dumps({"benchmarks": entries}))
-
-    def test_higher_is_better_regresses_on_drop(self, tmp_path):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            from compare_to_baseline import main
-        finally:
-            sys.path.pop(0)
-        baseline = tmp_path / "baseline.json"
-        current = tmp_path / "current.json"
-        self._write(baseline, [
-            {"name": "cascade_speedup", "stats": {"mean": 3.0},
-             "higher_is_better": True},
-        ])
-        # Improvement (ratio > 1) passes for higher-is-better entries.
-        self._write(current, [
-            {"name": "cascade_speedup", "stats": {"mean": 4.0},
-             "higher_is_better": True},
-        ])
-        assert main([str(current), str(baseline)]) == 0
-        # A >20% drop fails.
-        self._write(current, [
-            {"name": "cascade_speedup", "stats": {"mean": 2.0},
-             "higher_is_better": True},
-        ])
-        assert main([str(current), str(baseline)]) == 1
-
-    def test_timing_entries_keep_lower_is_better(self, tmp_path):
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            from compare_to_baseline import main
-        finally:
-            sys.path.pop(0)
-        baseline = tmp_path / "baseline.json"
-        current = tmp_path / "current.json"
-        self._write(baseline, [{"name": "t", "stats": {"mean": 1.0}}])
-        self._write(current, [{"name": "t", "stats": {"mean": 0.5}}])
-        assert main([str(current), str(baseline)]) == 0
-        self._write(current, [{"name": "t", "stats": {"mean": 1.5}}])
-        assert main([str(current), str(baseline)]) == 1

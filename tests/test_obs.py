@@ -50,9 +50,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _load_bench_module():
-    """Import benchmarks/bench_perf_core.py for its shared fixtures."""
+    """Import benchmarks/bench_store.py for its workload functions."""
     spec = importlib.util.spec_from_file_location(
-        "bench_perf_core", REPO_ROOT / "benchmarks" / "bench_perf_core.py"
+        "bench_store", REPO_ROOT / "benchmarks" / "bench_store.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -732,7 +732,7 @@ class TestDisabledOverhead:
         The uninstrumented baseline stubs Module.__call__ back to a bare
         ``self.forward(...)`` dispatch (the pre-telemetry body), so the
         measured delta is exactly the cost of the ``obs.enabled`` guard.
-        Reuses the bench_perf_core fixture builder at a smaller scale.
+        Reuses bench_store's ``build_perf_setup`` at a smaller scale.
         """
         bench = _load_bench_module()
         perf = bench.build_perf_setup(num_entities=150, num_pages=30)
@@ -933,58 +933,3 @@ class TestDisabledOverhead:
         assert sampler._thread is None
         assert recorder._tracer is None
         assert obs.enabled is False
-
-
-# ----------------------------------------------------------------------
-# Benchmark baseline comparison script
-# ----------------------------------------------------------------------
-class TestCompareScript:
-    @staticmethod
-    def _write(path, means):
-        path.write_text(json.dumps({
-            "benchmarks": [
-                {"name": name, "stats": {"mean": mean}}
-                for name, mean in means.items()
-            ]
-        }))
-
-    @pytest.fixture()
-    def compare(self):
-        spec = importlib.util.spec_from_file_location(
-            "compare_to_baseline",
-            REPO_ROOT / "benchmarks" / "compare_to_baseline.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_pass_within_budget(self, tmp_path, compare, capsys):
-        self._write(tmp_path / "base.json", {"fwd": 1.0, "ann": 2.0})
-        self._write(tmp_path / "cur.json", {"fwd": 1.1, "ann": 1.9})
-        code = compare.main([
-            str(tmp_path / "cur.json"), str(tmp_path / "base.json"),
-            "--max-regression", "0.20",
-        ])
-        assert code == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_fail_on_regression(self, tmp_path, compare, capsys):
-        self._write(tmp_path / "base.json", {"fwd": 1.0})
-        self._write(tmp_path / "cur.json", {"fwd": 1.5})
-        code = compare.main([
-            str(tmp_path / "cur.json"), str(tmp_path / "base.json"),
-        ])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_disjoint_runs_warn_not_fail(self, tmp_path, compare, capsys):
-        # A bench suite newer than the committed baseline must not crash
-        # CI — it reports the unmatched names and passes.
-        self._write(tmp_path / "base.json", {"a": 1.0})
-        self._write(tmp_path / "cur.json", {"b": 1.0})
-        assert compare.main([
-            str(tmp_path / "cur.json"), str(tmp_path / "base.json"),
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "no common benchmarks" in captured.err
-        assert "b: not in baseline (skipped)" in captured.out

@@ -45,7 +45,7 @@ from repro.parallel import (
     prefetch_batches,
     shared_memory_available,
 )
-from repro.parallel.pool import _Task
+from repro.parallel.pool import _Task, _WorkerRuntime
 from repro.parallel.shm import _ALIGNMENT
 
 pytestmark = pytest.mark.skipif(
@@ -272,6 +272,36 @@ class TestPoolFaultTolerance:
     def test_pool_without_source_raises(self):
         with pytest.raises(ParallelError):
             AnnotatorPool(2)
+
+
+class TestWorkerZeroCopy:
+    def test_worker_runtime_reads_the_shared_block_in_place(self, pool):
+        """A rehydrated worker holds views of the shm block, not copies.
+
+        Builds the worker runtime from the pool's own spec in this
+        process and checks every parameter and payload-store component
+        against its array in the attached block.
+        """
+        runtime = _WorkerRuntime(pool._spec)
+        attached = runtime.attached
+        try:
+            model = runtime.model
+            store = model.embedder.payload_store
+            in_use = {
+                **{f"param.{n}": p.data for n, p in model.named_parameters()},
+                **{f"store.{n}": a for n, a in store.export_arrays().items()},
+            }
+            assert sorted(in_use) == sorted(attached.manifest.keys())
+            copied = [
+                key
+                for key, array in in_use.items()
+                if not np.shares_memory(array, attached[key])
+            ]
+        finally:
+            # Every view must be gone before the mapping closes.
+            model = store = in_use = runtime.model = runtime.annotator = None
+            attached.close()
+        assert copied == []
 
 
 # ----------------------------------------------------------------------
