@@ -7,8 +7,9 @@ user-provided spans, and return the most likely entity per mention.
 Serving throughput comes from three things here: a token-keyed alias
 index built once at construction (mention detection probes one dict
 bucket per token instead of string-joining every span), a batched
-``annotate_batch`` that packs many documents into shared
-:class:`NedDataset` batches, and collation buffers reused across calls.
+``annotate_batch`` that packs many documents, sorted by shape, into
+shared :class:`NedDataset` batches (:meth:`BootlegAnnotator.plan`), and
+collation buffers reused across calls.
 
 One routine turns mentions into linking decisions: tier 0 first when a
 cascade policy is set, then the model over the sentences that still
@@ -40,6 +41,7 @@ from repro.core.trainer import predict_batches
 from repro.obs import provenance
 from repro.corpus.dataset import (
     CANDIDATE_PAD,
+    MAX_TOKENS,
     CollateBuffers,
     NedDataset,
     encodable_mentions,
@@ -167,7 +169,7 @@ class BootlegAnnotator:
         self,
         texts: Sequence[str],
         mention_spans: Sequence[list[tuple[int, int]] | None] | None = None,
-        provenance_base: int = 0,
+        sentence_ids: Sequence[int] | None = None,
     ) -> list[list[AnnotatedMention]]:
         """Disambiguate many documents in shared model batches.
 
@@ -177,29 +179,42 @@ class BootlegAnnotator:
         :meth:`annotate` per text, but with one dataset build and packed
         batches instead of a model call per document.
 
-        ``provenance_base`` offsets the document index used as the
-        provenance ``sentence_id`` key, so a pool dispatching chunks of
-        one logical call records globally unique keys (the pool passes
-        each chunk's offset).
+        ``sentence_ids`` (default: each text's index) key the
+        documents' provenance records. A pool passes each task's
+        call-global ids, in input order.
         """
-        if mention_spans is not None and len(mention_spans) != len(texts):
-            raise ConfigError(
-                f"mention_spans has {len(mention_spans)} entries "
-                f"for {len(texts)} texts"
-            )
         if not texts:
-            # No documents: skip the span and the batch-latency metrics
-            # entirely so empty probes don't pollute serving telemetry.
+            # No documents: check the span and id counts, but skip the
+            # span and the batch-latency metrics entirely so empty
+            # probes don't pollute serving telemetry.
+            self.parse(texts, mention_spans, sentence_ids)
             return []
         with obs.span("annotator.annotate_batch", documents=len(texts)):
-            return self._annotate_batch(texts, mention_spans, provenance_base)
+            return self._annotate_batch(
+                self.parse(texts, mention_spans, sentence_ids)
+            )
 
-    def _annotate_batch(
+    def parse(
         self,
         texts: Sequence[str],
-        mention_spans: Sequence[list[tuple[int, int]] | None] | None,
-        provenance_base: int = 0,
-    ) -> list[list[AnnotatedMention]]:
+        mention_spans: Sequence[list[tuple[int, int]] | None] | None = None,
+        sentence_ids: Sequence[int] | None = None,
+    ) -> list[Sentence]:
+        """One :class:`Sentence` per text: its tokens and mentions.
+
+        Spans come from ``mention_spans`` where given, else from
+        :meth:`detect_mentions`. Raises :class:`ConfigError` on an
+        empty text, an out-of-range or overlapping span, or a span or
+        id list whose length differs from ``texts``. Records nothing.
+        """
+        for name, values in (
+            ("mention_spans", mention_spans),
+            ("sentence_ids", sentence_ids),
+        ):
+            if values is not None and len(values) != len(texts):
+                raise ConfigError(
+                    f"{name} has {len(values)} entries for {len(texts)} texts"
+                )
         sentences: list[Sentence] = []
         for doc_index, text in enumerate(texts):
             tokens = tokenize(text)
@@ -216,19 +231,25 @@ class BootlegAnnotator:
                 # Gold is unknown at inference: CANDIDATE_PAD matches no
                 # candidate and keeps a gold id out of provenance.
                 mentions.append(Mention(start, end, surface, CANDIDATE_PAD))
+            sentence_id = (
+                sentence_ids[doc_index] if sentence_ids is not None else doc_index
+            )
             try:
                 # The sentence id keys the mention's provenance record.
-                sentences.append(
-                    Sentence(provenance_base + doc_index, 0, tokens, mentions)
-                )
+                sentences.append(Sentence(sentence_id, 0, tokens, mentions))
             except CorpusError as error:  # overlapping spans
                 raise ConfigError(f"invalid mention spans: {error}") from error
+        return sentences
+
+    def _annotate_batch(
+        self, sentences: list[Sentence]
+    ) -> list[list[AnnotatedMention]]:
         observing = obs.enabled
         num_detected = sum(len(sentence.mentions) for sentence in sentences)
         if observing:
-            obs.metrics.counter("annotator.documents").inc(len(texts))
+            obs.metrics.counter("annotator.documents").inc(len(sentences))
             obs.metrics.counter("annotator.mentions_detected").inc(num_detected)
-        results: list[list[AnnotatedMention]] = [[] for _ in texts]
+        results: list[list[AnnotatedMention]] = [[] for _ in sentences]
         if not num_detected:
             return results
         covered = 0
@@ -284,6 +305,67 @@ class BootlegAnnotator:
                 records.append(outcome)
         return records
 
+    def plan(self, sentences: Sequence[Sentence]) -> list[list[int]]:
+        """The batch plan: the indices of the sentences each model batch holds.
+
+        A sentence reaches the model when it keeps an encodable mention
+        and, under a cascade policy, tier 0 abstains on one of them.
+        Those sentences are sorted stably by (encodable mention count,
+        token count capped at ``MAX_TOKENS``) and cut into
+        ``batch_size`` batches, so a padded batch holds sentences of
+        like shape. Records no metrics and no provenance.
+
+        Whole planned batches, listed in input order among sentences
+        that no batch holds, re-plan to exactly those batches: their
+        sentences sort back into the same runs, and every batch but the
+        last is full. A pool relies on this to run the serial plan's
+        batches on its workers.
+        """
+        mentions_per_sentence = [encodable_mentions(s) for s in sentences]
+        return self._plan(
+            sentences,
+            mentions_per_sentence,
+            self._resolve_tier0(mentions_per_sentence),
+        )
+
+    def _resolve_tier0(
+        self, mentions_per_sentence: list[list[Mention]]
+    ) -> list[list[Tier0Decision]] | None:
+        """Tier 0's cached decision per kept mention; None without a policy."""
+        if self._tier0 is None:
+            return None
+        resolve = self._tier0.resolve
+        return [
+            [resolve(mention.surface) for mention in mentions]
+            for mentions in mentions_per_sentence
+        ]
+
+    def _plan(
+        self,
+        sentences: Sequence[Sentence],
+        mentions_per_sentence: list[list[Mention]],
+        decisions_per_sentence: list[list[Tier0Decision]] | None,
+    ) -> list[list[int]]:
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        bound = [
+            index
+            for index, mentions in enumerate(mentions_per_sentence)
+            if mentions
+            and (
+                decisions_per_sentence is None
+                or not all(d.answered for d in decisions_per_sentence[index])
+            )
+        ]
+        bound.sort(
+            key=lambda index: (
+                len(mentions_per_sentence[index]),
+                min(len(sentences[index].tokens), MAX_TOKENS),
+            )
+        )
+        size = self.batch_size
+        return [bound[start : start + size] for start in range(0, len(bound), size)]
+
     def _decide(
         self,
         sentences: Sequence[Sentence],
@@ -294,34 +376,23 @@ class BootlegAnnotator:
         Returns, per sentence, the mentions the encoder keeps
         (:func:`encodable_mentions`) and their outcomes: the cached
         :class:`Tier0Decision` where the cascade policy answered, else
-        the model's :class:`MentionPrediction`. Only sentences with an
-        abstention (every sentence without a policy) are encoded; they
-        are packed in sentence order into ``batch_size`` batches over
-        the shared collation buffers, so a sentence list always builds
-        the same batches (the byte-identity contract of
-        docs/CASCADE.md). Confident mentions of an escalated sentence
-        ride along as model context but keep their tier-0 answers.
+        the model's :class:`MentionPrediction`. Only the sentences of
+        the batch plan (:meth:`plan`) are encoded; the model runs them
+        in plan order, ``batch_size`` at a time over the shared
+        collation buffers, and the records are handed back in sentence
+        order. A sentence list always builds the same batches (the
+        byte-identity contract of docs/CASCADE.md). Confident mentions
+        of an escalated sentence ride along as model context but keep
+        their tier-0 answers.
 
         ``predict_fn`` defaults to this module's ``predict_batches``,
         looked up at call time.
         """
         mentions_per_sentence = [encodable_mentions(s) for s in sentences]
-        tier0 = self._tier0
-        if tier0 is None:
-            decisions_per_sentence = None
-            escalates = [True] * len(sentences)
-        else:
-            started = time.perf_counter()
-            resolve = tier0.resolve
-            decisions_per_sentence = [
-                [resolve(mention.surface) for mention in mentions]
-                for mentions in mentions_per_sentence
-            ]
-            tier0_elapsed = time.perf_counter() - started
-            escalates = [
-                not all(decision.answered for decision in decisions)
-                for decisions in decisions_per_sentence
-            ]
+        started = time.perf_counter()
+        decisions_per_sentence = self._resolve_tier0(mentions_per_sentence)
+        tier0_elapsed = time.perf_counter() - started
+        if decisions_per_sentence is not None:
             num_mentions = sum(map(len, decisions_per_sentence))
             num_escalated = sum(
                 not decision.answered
@@ -334,27 +405,37 @@ class BootlegAnnotator:
                 tier0_elapsed,
                 reasons=reason_counts(decisions_per_sentence),
             )
-        escalated = [s for s, up in zip(sentences, escalates) if up]
-        model_records = iter(())
-        if escalated:
+        planned = [
+            index
+            for batch in self._plan(
+                sentences, mentions_per_sentence, decisions_per_sentence
+            )
+            for index in batch
+        ]
+        model_outcomes: dict[int, list[MentionPrediction]] = {}
+        if planned:
             dataset = NedDataset(
-                Corpus([Page(0, 0, "test", escalated)]),
+                Corpus([Page(0, 0, "test", [sentences[i] for i in planned])]),
                 "test",
                 self.vocab,
                 self.candidate_map,
                 self.num_candidates,
                 kgs=self.kgs,
             )
-            if len(dataset):
-                run = predict_fn if predict_fn is not None else predict_batches
-                model_records = iter(
-                    run(
-                        self.model,
-                        dataset.batches(
-                            self.batch_size, buffers=self._collate_buffers
-                        ),
-                    )
+            run = predict_fn if predict_fn is not None else predict_batches
+            # The dataset holds the plan's order, so cutting it at
+            # batch_size builds the plan's batches; the model emits one
+            # record per encoded mention, in that order.
+            records = iter(
+                run(
+                    self.model,
+                    dataset.batches(self.batch_size, buffers=self._collate_buffers),
                 )
+            )
+            for index in planned:
+                model_outcomes[index] = [
+                    next(records) for _ in mentions_per_sentence[index]
+                ]
         decided = []
         for index, mentions in enumerate(mentions_per_sentence):
             decisions = (
@@ -362,12 +443,11 @@ class BootlegAnnotator:
                 if decisions_per_sentence is not None
                 else None
             )
-            if not escalates[index]:
-                decided.append((mentions, decisions))
-                continue
-            # The model emits one record per encoded mention, in order.
-            outcomes = [next(model_records) for _ in mentions]
-            if decisions is not None:
+            outcomes = model_outcomes.get(index)
+            if outcomes is None:
+                # Unplanned: no kept mention, or tier 0 answered them all.
+                outcomes = decisions if decisions is not None else []
+            elif decisions is not None:
                 outcomes = [
                     decision if decision.answered else record
                     for decision, record in zip(decisions, outcomes)

@@ -22,8 +22,6 @@ import os
 import pickle
 from pathlib import Path
 
-import numpy as np
-
 from repro.baselines.ned_base import NedBaseConfig, NedBaseModel
 from repro.core.model import BootlegConfig, BootlegModel
 from repro.core.trainer import TrainConfig, Trainer, predict

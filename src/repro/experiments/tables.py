@@ -15,8 +15,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.baselines.simple import most_popular_predictions
-from repro.benchmarks_data.suites import BenchmarkSuite, build_all_suites
-from repro.core.compress import compressed_embeddings, compression_stats
+from repro.benchmarks_data.suites import build_all_suites
+from repro.core.compress import compressed_embeddings
 from repro.core.trainer import TrainConfig, Trainer, predict
 from repro.corpus.dataset import NedDataset
 from repro.corpus.stats import EntityCounts

@@ -9,17 +9,20 @@ work out to N worker processes that share one copy of the heavy state:
   :class:`WorkerSpec` (config + KB + vocabulary), then points every
   parameter at a zero-copy read-only view of the shared block — N
   workers, one payload;
-- a chunking dispatcher splits ``annotate_batch``/``predict_batches``
-  calls into contiguous chunks, round-robins them over per-worker task
-  queues, and reassembles results in submission order;
-- a crashed worker is respawned and its in-flight chunks are retried
+- a dispatcher splits ``annotate_batch``/``predict_batches`` calls into
+  tasks of whole model batches, round-robins them over per-worker task
+  queues, and reassembles results in input order; each worker answers
+  on its own result channel, so a worker that dies part-way through a
+  reply cannot block the others;
+- a crashed worker is respawned and its in-flight tasks are retried
   once before a structured :class:`~repro.errors.ParallelError` is
   raised.
 
-Determinism contract: chunk boundaries are always a multiple of the
-annotator batch size, so every worker collates exactly the batches the
-serial path would have built — parallel output is byte-identical to the
-serial path for any worker count (verified in ``tests/test_parallel.py``).
+Determinism contract: ``annotate_batch`` takes the owner annotator's
+batch plan (:meth:`BootlegAnnotator.plan`) and sends each worker whole
+planned batches, which the worker's annotator re-plans to exactly the
+same batches — parallel output is byte-identical to the serial path for
+any worker count and chunking (verified in ``tests/test_parallel.py``).
 
 When ``workers <= 1``, shared memory is unavailable, or the model type
 has no registered factory, the pool degrades to the in-process serial
@@ -28,10 +31,13 @@ path transparently; every call site keeps working.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import os
+import pickle
 import queue as _queue
+import struct
 import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
@@ -39,6 +45,7 @@ from collections.abc import Callable, Iterable, Sequence
 # The one blessed fork-safety path: everything multiprocessing lives in
 # repro.parallel (enforced by lint rule RA613 elsewhere in the tree).
 import multiprocessing as _mp
+import multiprocessing.connection as _connection
 
 import numpy as np
 
@@ -123,7 +130,7 @@ class WorkerSpec:
     unregister_tracker: bool = False
     # Captured from obs.enabled when the pool starts: workers run a
     # process-local obs scope around chunk execution and ship what they
-    # recorded since their last shipment back over the result queue —
+    # recorded since their last shipment back over their result channel —
     # every telemetry_interval seconds while work flows, and once more
     # (marked ``final``) at shutdown.
     observe: bool = False
@@ -311,11 +318,11 @@ class _WorkerRuntime:
     def run(self, kind: str, payload):
         with self._no_grad(), self._compute_dtype(self._dtype):
             if kind == "annotate":
-                texts, spans, base = payload
+                texts, spans, sentence_ids = payload
                 if self.annotator is None:
                     raise ParallelError("pool was built without an annotator")
                 return self.annotator.annotate_batch(
-                    texts, spans, provenance_base=base
+                    texts, spans, sentence_ids=sentence_ids
                 )
             if kind == "predict":
                 from repro.core.trainer import predict_batches as serial_predict
@@ -323,11 +330,31 @@ class _WorkerRuntime:
                 return serial_predict(self.model, payload)
             if kind == "crash":  # test hook: simulate a hard worker death
                 os._exit(3)
+            if kind == "die_mid_reply":  # test hook, see _worker_main
+                return payload
             raise ParallelError(f"unknown task kind {kind!r}")
 
 
+def _die_mid_reply(results, reply) -> None:
+    """Test hook: write the first half of ``reply``'s message, then die.
+
+    Writes the length header of a whole ``Connection.send`` message and
+    half its bytes, as a worker killed during a large send would leave
+    them.
+    """
+    data = pickle.dumps(reply)
+    header = struct.pack("!i", len(data))
+    os.write(results.fileno(), header + data[: len(data) // 2])
+    os._exit(3)
+
+
 def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
-    """Entry point of one worker process."""
+    """Entry point of one worker process.
+
+    ``results`` is the write end of this worker's own result channel;
+    every message is written whole by this thread, so no lock is shared
+    with another process.
+    """
     # Fresh telemetry state: under fork the child inherits the parent's
     # recorded metrics and enabled flag, which must not leak into (or be
     # double-counted by) the worker's own stream.
@@ -337,7 +364,7 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
     try:
         runtime = _WorkerRuntime(spec)
     except BaseException:
-        results.put(("init_error", worker_id, -1, traceback.format_exc(), 0.0))
+        results.send(("init_error", worker_id, -1, traceback.format_exc(), 0.0))
         return
     if spec.observe:
         # Worker-side obs scope: chunk execution records into this
@@ -349,7 +376,7 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
             # Ring only, no spill: records ship to the owner, which
             # owns the spill file.
             provenance.enable()
-    results.put(("ready", worker_id, -1, None, 0.0))
+    results.send(("ready", worker_id, -1, None, 0.0))
     # Shipping state. Each shipment carries what was recorded since the
     # previous one, so ``dirty`` skips empty shipments: an idle worker
     # stays quiet until it records something new.
@@ -361,7 +388,7 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
         nonlocal last_ship, dirty
         shipment = take_shipment()
         shipment["final"] = final
-        results.put(("telemetry", worker_id, -1, shipment, 0.0))
+        results.send(("telemetry", worker_id, -1, shipment, 0.0))
         last_ship = time.monotonic()
         dirty = False
 
@@ -405,7 +432,9 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
             # it would leave owner state missing this task until the
             # next call.
             _ship()
-        results.put(reply)
+        if kind == "die_mid_reply":
+            _die_mid_reply(results, reply)
+        results.send(reply)
     if spec.observe:
         obs.disable()
         _ship(final=True)
@@ -455,7 +484,6 @@ class AnnotatorPool:
         )
         self._annotator = annotator
         self._model = model if model is not None else annotator.model
-        self.batch_size = annotator.batch_size if annotator is not None else 64
         self._compute = np.dtype(get_compute_dtype())
         self._start_method = start_method or default_start_method()
         self._store: SharedArrayStore | None = None
@@ -463,7 +491,10 @@ class AnnotatorPool:
         self._ctx = None
         self._procs: list = []
         self._task_queues: list = []
-        self._results = None
+        # Worker rank -> read end of its result channel, while open, and
+        # the messages read from the channels but not yet handled.
+        self._channels: dict[int, object] = {}
+        self._inbox: collections.deque = collections.deque()
         self._closed = False
         # Sampler/health registrations held while open and observed.
         self._pids_token: int | None = None
@@ -557,25 +588,74 @@ class AnnotatorPool:
                 f"unknown start method {self._start_method!r}"
             ) from error
         self._spec = self._build_spec()
-        self._results = self._ctx.Queue()
         for worker_id in range(self.workers):
             self._spawn_worker(worker_id)
         self._await_ready(range(self.workers))
         self._register_live()
 
     def _spawn_worker(self, worker_id: int) -> None:
+        """Start worker ``worker_id`` with a fresh result channel.
+
+        A respawn discards the dead worker's channel, with whatever it
+        left unread. The owner keeps only the read end, so the channel
+        reads as closed once the worker exits.
+        """
         while len(self._task_queues) <= worker_id:
             self._task_queues.append(self._ctx.Queue())
+        self._close_channel(worker_id)
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, self._spec, self._task_queues[worker_id], self._results),
+            args=(worker_id, self._spec, self._task_queues[worker_id], writer),
             daemon=True,
             name=f"repro-annotator-{worker_id}",
         )
-        process.start()
+        try:
+            process.start()
+        finally:
+            writer.close()
+        self._channels[worker_id] = reader
         while len(self._procs) <= worker_id:
             self._procs.append(None)
         self._procs[worker_id] = process
+
+    def _close_channel(self, worker_id: int) -> None:
+        channel = self._channels.pop(worker_id, None)
+        if channel is not None:
+            channel.close()
+
+    def _read(self, worker_id: int) -> list[tuple]:
+        """Every whole message waiting on ``worker_id``'s channel.
+
+        A channel that reads as closed (the worker exited), or that
+        ends inside a message (the worker died mid-reply), is closed:
+        nothing more can arrive on it.
+        """
+        channel = self._channels.get(worker_id)
+        messages: list[tuple] = []
+        if channel is None:
+            return messages
+        try:
+            while channel.poll():
+                messages.append(channel.recv())
+        except (EOFError, OSError):
+            self._close_channel(worker_id)
+        return messages
+
+    def _get(self, timeout: float) -> tuple:
+        """The next worker message; ``queue.Empty`` if none came in time.
+
+        Reads every channel that turns readable within ``timeout``
+        seconds into the inbox, then hands messages out one at a time.
+        """
+        if not self._inbox:
+            ready = _connection.wait(list(self._channels.values()), timeout)
+            for worker_id, channel in list(self._channels.items()):
+                if channel in ready:
+                    self._inbox.extend(self._read(worker_id))
+        if not self._inbox:
+            raise _queue.Empty
+        return self._inbox.popleft()
 
     def _await_ready(self, worker_ids: Iterable[int]) -> None:
         pending = set(worker_ids)
@@ -588,8 +668,8 @@ class AnnotatorPool:
                     f"{_STARTUP_TIMEOUT:.0f}s"
                 )
             try:
-                status, worker_id, _, payload, _ = self._results.get(
-                    timeout=min(remaining, _RESULT_POLL_SECONDS)
+                status, worker_id, _, payload, _ = self._get(
+                    min(remaining, _RESULT_POLL_SECONDS)
                 )
             except _queue.Empty:
                 for worker_id in list(pending):
@@ -630,8 +710,8 @@ class AnnotatorPool:
             obs.metrics.gauge("parallel.pool.queue_depth").set(float(outstanding))
         while outstanding:
             try:
-                status, worker_id, task_id, payload, elapsed = self._results.get(
-                    timeout=_RESULT_POLL_SECONDS
+                status, worker_id, task_id, payload, elapsed = self._get(
+                    _RESULT_POLL_SECONDS
                 )
             except _queue.Empty:
                 outstanding -= self._reap_dead_workers(in_flight, failures)
@@ -690,6 +770,11 @@ class AnnotatorPool:
         """Respawn workers that died between dispatch calls."""
         for worker_id, process in enumerate(self._procs):
             if process is not None and not process.is_alive():
+                # Shipments it left behind still count; stale results
+                # do not.
+                for status, _, _, payload, _ in self._read(worker_id):
+                    if status == "telemetry":
+                        merge_telemetry(payload, worker=worker_id)
                 logger.warning(
                     "worker %d found dead (exit code %s); respawning",
                     worker_id, process.exitcode,
@@ -714,6 +799,12 @@ class AnnotatorPool:
         abandoned = 0
         for worker_id, process in enumerate(self._procs):
             if process is None or process.is_alive():
+                continue
+            leftovers = self._read(worker_id)
+            if leftovers:
+                # Settle what it wrote before dying first; it is reaped
+                # on a later quiet poll.
+                self._inbox.extend(leftovers)
                 continue
             exitcode = process.exitcode
             lost = list(in_flight[worker_id].values())
@@ -811,41 +902,64 @@ class AnnotatorPool:
     ) -> list:
         """Disambiguate many documents across the pool, in input order.
 
-        ``chunk_size`` (in texts) overrides the dispatcher's default
-        granularity; it is rounded up to a multiple of the annotator
-        batch size so parallel batches match the serial ones exactly.
+        The owner parses the texts and takes its annotator's batch plan
+        (:meth:`BootlegAnnotator.plan`), recording nothing; bad input
+        raises the serial path's :class:`~repro.errors.ConfigError`
+        before anything is dispatched. Each task carries ``chunk_size``
+        whole planned batches (by default, enough for about
+        ``_CHUNKS_PER_WORKER`` tasks per worker); each worker's first
+        task also carries an even share of the documents no batch
+        holds. A task sends its documents' texts, spans and call-global
+        sentence ids in input order, and the worker's annotator
+        re-plans them to exactly the planned batches, so the output is
+        byte-identical to the serial path's.
         """
         if not texts:
             return []
         if self.serial:
             return self._serial_annotate(texts, mention_spans)
-        chunk = self._chunk_texts(len(texts), chunk_size)
-        tasks = []
-        for offset in range(0, len(texts), chunk):
-            spans = (
-                list(mention_spans[offset : offset + chunk])
-                if mention_spans is not None
-                else None
+        annotator = self._annotator
+        if annotator is None:
+            raise ParallelError("pool was built without an annotator")
+        sentences = annotator.parse(texts, mention_spans)
+        batches = annotator.plan(sentences)
+        per_task = (
+            max(1, chunk_size)
+            if chunk_size is not None
+            else max(
+                1, math.ceil(len(batches) / (self.workers * _CHUNKS_PER_WORKER))
             )
+        )
+        groups = [
+            [index for batch in batches[start : start + per_task] for index in batch]
+            for start in range(0, len(batches), per_task)
+        ]
+        planned = {index for batch in batches for index in batch}
+        unplanned = [index for index in range(len(texts)) if index not in planned]
+        if unplanned:
+            # Task w goes to worker w (round-robin dispatch).
+            groups += [[] for _ in range(self.workers - len(groups))]
+            for worker_id in range(self.workers):
+                groups[worker_id] += unplanned[worker_id :: self.workers]
+        tasks = []
+        for group in groups:
+            if not group:
+                continue
+            docs = sorted(group)
+            spans = [[(m.start, m.end) for m in sentences[i].mentions] for i in docs]
             tasks.append(
                 _Task(
                     task_id=len(tasks),
                     kind="annotate",
-                    # The chunk's global offset rides along as the
-                    # provenance key base, so worker-side records key by
-                    # the document's index in *this* call, not the chunk.
-                    payload=(
-                        list(texts[offset : offset + chunk]),
-                        spans,
-                        offset,
-                    ),
+                    payload=([texts[i] for i in docs], spans, docs),
                 )
             )
         with obs.span("parallel.annotate_batch", documents=len(texts), chunks=len(tasks)):
-            chunk_results = self._execute(tasks)
-        results: list = []
-        for part in chunk_results:
-            results.extend(part)
+            parts = self._execute(tasks)
+        results: list = [None] * len(texts)
+        for task, part in zip(tasks, parts):
+            for doc, annotations in zip(task.payload[2], part):
+                results[doc] = annotations
         return results
 
     def _serial_annotate(self, texts, mention_spans):
@@ -855,17 +969,6 @@ class AnnotatorPool:
 
         with compute_dtype(self._compute):
             return self._annotator.annotate_batch(texts, mention_spans)
-
-    def _chunk_texts(self, num_texts: int, chunk_size: int | None) -> int:
-        batch = self.batch_size
-        if chunk_size is None:
-            num_batches = math.ceil(num_texts / batch)
-            per_chunk = max(
-                1, math.ceil(num_batches / (self.workers * _CHUNKS_PER_WORKER))
-            )
-            return per_chunk * batch
-        # Round up to a batch multiple to preserve serial batch shapes.
-        return max(1, math.ceil(chunk_size / batch)) * batch
 
     def predict_batches(self, batches: Iterable) -> list:
         """Shard whole batches across the pool; ordered reassembly.
@@ -931,60 +1034,33 @@ class AnnotatorPool:
             q.close()
             q.cancel_join_thread()
         self._task_queues = []
-        if self._results is not None:
-            self._results.close()
-            self._results.cancel_join_thread()
-            self._results = None
+        for worker_id in list(self._channels):
+            self._close_channel(worker_id)
+        self._inbox.clear()
         if self._store is not None:
             self._store.close(unlink=True)
             self._store = None
 
     def _drain_final_shipments(self) -> None:
-        """Merge shipments until every worker sent its final one or died.
+        """Read every channel until its worker exits, merging shipments.
 
         Workers ship one ``final``-marked ``("telemetry", rank, ...)``
-        message right after the shutdown sentinel. Everything a worker
-        shipped was merged when it arrived, so a worker that crashed
-        without a final shipment contributes exactly what it shipped
-        before dying. The drain gives up once every expected worker is
-        dead and the queue has stayed empty for a grace period.
+        message right after the shutdown sentinel, then exit, which
+        closes their channel. Everything a worker shipped was merged
+        when it arrived, so a worker that crashed without a final
+        shipment contributes exactly what it shipped before dying.
+        Late "ok"/"error"/"ready" stragglers are dropped: their dispatch
+        call has already returned. Reading also unblocks a worker whose
+        last reply still fills its channel.
         """
-        if (
-            self._spec is None
-            or not self._spec.observe
-            or self._results is None
-        ):
-            return
-        expected = {
-            worker_id
-            for worker_id, process in enumerate(self._procs)
-            if process is not None
-        }
         deadline = time.monotonic() + _TELEMETRY_TIMEOUT
-        drained_grace: float | None = None
-        while expected and time.monotonic() < deadline:
+        while (self._channels or self._inbox) and time.monotonic() < deadline:
             try:
-                status, worker_id, _, payload, _ = self._results.get(
-                    timeout=_RESULT_POLL_SECONDS
-                )
+                status, worker_id, _, payload, _ = self._get(_RESULT_POLL_SECONDS)
             except _queue.Empty:
-                if any(self._procs[w].is_alive() for w in expected):
-                    continue
-                # Every straggler is dead; allow one grace period for
-                # messages still in the queue's feeder pipe, then stop.
-                now = time.monotonic()
-                if drained_grace is None:
-                    drained_grace = now + 2 * _RESULT_POLL_SECONDS
-                elif now > drained_grace:
-                    break
                 continue
-            drained_grace = None
             if status == "telemetry":
                 merge_telemetry(payload, worker=worker_id)
-                if payload["final"]:
-                    expected.discard(worker_id)
-            # Late "ok"/"error"/"ready" stragglers are dropped: the pool
-            # is closing and their dispatch call has already returned.
 
     def __enter__(self) -> "AnnotatorPool":
         return self

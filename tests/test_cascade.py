@@ -24,7 +24,6 @@ from repro.cascade import (
 from repro.core import BootlegAnnotator, BootlegConfig, BootlegModel
 from repro.core.trainer import predict, predict_batches
 from repro.corpus import (
-    CollateBuffers,
     CorpusConfig,
     EntityCounts,
     NedDataset,
@@ -32,7 +31,7 @@ from repro.corpus import (
     detokenize,
     generate_corpus,
 )
-from repro.corpus.tokenizer import tokenize
+from repro.corpus.dataset import encodable_mentions
 from repro.errors import ConfigError
 from repro.kb import WorldConfig, generate_world
 from repro.kb.aliases import CandidateMap
@@ -203,34 +202,30 @@ class TestCascadePredict:
         )
 
     def test_escalated_records_byte_identical_to_standalone_pass(
-        self, model, dataset, world, vocab, corpus
+        self, model, world, vocab, corpus
     ):
+        # docs/CASCADE.md's contract: escalated records equal a full-model
+        # pass over exactly the escalated sentences.
         batch_size = 4
+        sentences = corpus.sentences("val")
         records = evaluator(
             world, vocab, model, STRICT, batch_size=batch_size
-        ).predict_sentences(corpus.sentences("val"))
-        # Replicate the escalation set independently and run the plain
-        # full-model path over exactly those sentences.
+        ).predict_sentences(sentences)
+        # Replicate the escalation set independently.
         linker = Tier0Linker(world.candidate_map, STRICT, kb=world.kb,
-                             num_candidates=dataset.num_candidates)
-        escalated_items = [
-            item
-            for item in dataset.encoded
+                             num_candidates=4)
+        escalated_sentences = [
+            sentence
+            for sentence in sentences
             if any(
                 not linker.resolve(m.surface).answered
-                for m in item.sentence.mentions
-                if m.end <= item.num_tokens
+                for m in encodable_mentions(sentence)
             )
         ]
-        assert escalated_items, "strict policy must escalate something"
-        buffers = CollateBuffers()
-        standalone = predict_batches(
-            model,
-            (
-                dataset.collate(escalated_items[i : i + batch_size], buffers)
-                for i in range(0, len(escalated_items), batch_size)
-            ),
-        )
+        assert escalated_sentences, "strict policy must escalate something"
+        standalone = evaluator(
+            world, vocab, model, None, batch_size=batch_size
+        ).predict_sentences(escalated_sentences)
         by_key = {(r.sentence_id, r.mention_index): r for r in standalone}
         escalated = [r for r in records if r.tier == TIER_MODEL]
         assert len(escalated) > 0
@@ -433,26 +428,11 @@ class TestPoolCascade:
         assert {m.tier for doc in pooled for m in doc} == {
             TIER_HEURISTIC, TIER_MODEL,
         }
-        # Both sides run the default compute dtype. The pool batches
-        # escalated sentences per chunk, so scores may differ from the
-        # serial run's in the last ulps; every other field is exact
-        # (docs/CASCADE.md).
-        assert len(serial) == len(pooled)
-        for doc_a, doc_b in zip(serial, pooled):
-            assert len(doc_a) == len(doc_b)
-            for a, b in zip(doc_a, doc_b):
-                left, right = dataclasses.asdict(a), dataclasses.asdict(b)
-                assert left.pop("score") == pytest.approx(
-                    right.pop("score"), abs=1e-12
-                )
-                ranked_a, ranked_b = left.pop("candidates"), right.pop("candidates")
-                assert [title for title, _ in ranked_a] == [
-                    title for title, _ in ranked_b
-                ]
-                assert [score for _, score in ranked_a] == pytest.approx(
-                    [score for _, score in ranked_b], abs=1e-12
-                )
-                assert left == right
+        # Both sides run the default compute dtype, and the pool runs the
+        # serial plan's batches, so every field is exact (docs/CASCADE.md).
+        assert [[dataclasses.asdict(m) for m in doc] for doc in pooled] == [
+            [dataclasses.asdict(m) for m in doc] for doc in serial
+        ]
 
     def test_cascade_counters_survive_registry_merge(self):
         source = MetricsRegistry()

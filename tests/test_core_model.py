@@ -10,7 +10,6 @@ from repro.core import (
     Ent2Ent,
     KG2Ent,
     Phrase2Ent,
-    RegularizationScheme,
     TrainConfig,
     Trainer,
     make_scheme,
@@ -27,7 +26,6 @@ from repro.corpus import (
 from repro.errors import ConfigError, TrainingError
 from repro.kb import WorldConfig, generate_world
 from repro.nn import Tensor
-from repro.nn.loss import IGNORE_INDEX
 
 
 @pytest.fixture(scope="module")

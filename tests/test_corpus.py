@@ -19,7 +19,7 @@ from repro.corpus import (
     pattern_coverage,
     tokenize,
 )
-from repro.corpus.document import Corpus, Page
+from repro.corpus.document import Page
 from repro.errors import ConfigError, CorpusError, VocabularyError
 from repro.kb import WorldConfig, generate_world
 from repro.nn.loss import IGNORE_INDEX

@@ -1,6 +1,5 @@
 """Tests for mention detection and end-to-end linking evaluation."""
 
-import numpy as np
 import pytest
 
 from repro.candgen import (

@@ -1,6 +1,5 @@
 """Tests for the experiments layer (workspaces, caching, model specs)."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import NedBaseConfig

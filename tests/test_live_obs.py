@@ -10,7 +10,6 @@ of ``--serve-metrics`` / ``--flight-dir``. ``make check`` runs this
 module a second time under the spawn start method.
 """
 
-import dataclasses
 import json
 import os
 import signal
@@ -497,11 +496,11 @@ class TestPoolLiveTelemetry:
 
     def test_every_shipment_merged_exactly_once(self, annotator, texts):
         # More workers than a 2-vCPU box has cores, so shipments from
-        # different workers interleave on the result queue.
+        # different workers arrive interleaved.
         with _live_pool(annotator, workers=3) as (pool, metrics):
             with compute_dtype(np.float32):
-                pool.annotate_batch(texts, chunk_size=2)
-            # 18 texts in chunks rounded up to the batch size of 4.
+                pool.annotate_batch(texts, chunk_size=1)
+            # 18 texts plan to 5 batches of 4, one batch per task.
             dispatched = metrics.counter("parallel.pool.tasks").value
             assert dispatched == 5
             # Workers ship before their results, so the owner has every

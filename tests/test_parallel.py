@@ -8,7 +8,6 @@ enforce the stricter pickling contract.
 """
 
 import dataclasses
-import queue
 import threading
 
 import numpy as np
@@ -32,6 +31,8 @@ from repro.corpus import (
     detokenize,
     generate_corpus,
 )
+from repro.corpus.dataset import CANDIDATE_PAD, MAX_TOKENS, encodable_mentions
+from repro.corpus.document import Mention, Sentence
 from repro.corpus.tokenizer import tokenize
 from repro.errors import ConfigError, ParallelError
 from repro.kb import WorldConfig, generate_world
@@ -99,15 +100,19 @@ def annotator(world, vocab, model):
 
 @pytest.fixture(scope="module")
 def texts(corpus, annotator):
-    # Mention-bearing texts only: zero-mention documents are dropped by
-    # NedDataset, which would shift batch boundaries between serial and
-    # chunked runs (documented caveat in docs/PARALLEL.md).
+    # 18 mention-bearing texts with 4 mention-free ones among them: the
+    # model never sees a mention-free document, so it must not move a
+    # batch boundary.
     candidates = [
         detokenize(list(s.tokens)) for s in corpus.sentences("test")[:12]
     ]
     kept = [t for t in candidates if annotator.detect_mentions(tokenize(t))]
     assert len(kept) >= 6, "test corpus must yield mention-bearing texts"
-    return (kept * 3)[:18]
+    texts = (kept * 3)[:18]
+    for position in (2, 7, 13, 21):
+        texts.insert(position, f"w{position} w1 w2 , w3 w4")
+    assert sum(not annotator.detect_mentions(tokenize(t)) for t in texts) == 4
+    return texts
 
 
 @pytest.fixture(scope="module")
@@ -182,13 +187,20 @@ class TestAnnotatorPool:
     ):
         with compute_dtype(np.float32):
             serial = annotator.annotate_batch(texts)
-            # chunk_size=7 rounds up to 8 (a batch_size=4 multiple);
-            # 18 texts split 8/8/2 — maximally uneven final chunk.
-            parallel = pool.annotate_batch(texts, chunk_size=7)
+            # 18 mention-bearing texts plan to 5 batches of 4: tasks of
+            # 2/2/1 batches, one task per batch, and one task holding
+            # every batch (worker 1 gets only mention-free documents).
+            for chunk_size in (2, 1, 7):
+                parallel = pool.annotate_batch(texts, chunk_size=chunk_size)
+                annotations_equal(serial, parallel)
+
+    def test_annotate_identical_in_float64(self, annotator, texts):
+        # The package default dtype; the module's pool runs float32.
+        serial = annotator.annotate_batch(texts)
+        with AnnotatorPool.from_annotator(annotator, workers=2) as pool:
+            assert not pool.serial
+            parallel = pool.annotate_batch(texts)
         annotations_equal(serial, parallel)
-        with compute_dtype(np.float32):
-            tiny = pool.annotate_batch(texts, chunk_size=1)
-        annotations_equal(serial, tiny)
 
     def test_empty_input_returns_empty(self, pool):
         assert pool.annotate_batch([]) == []
@@ -247,6 +259,101 @@ class TestAnnotatorPool:
             parallel = pool.annotate_batch(texts, spans, chunk_size=5)
         annotations_equal(serial, parallel)
 
+    def test_bad_input_raises_config_error_before_dispatch(
+        self, annotator, texts, pool, monkeypatch
+    ):
+        def dispatch(_tasks):
+            raise AssertionError("bad input must not reach the workers")
+
+        monkeypatch.setattr(pool, "_execute", dispatch)
+        overlapping = [[(0, 2), (1, 3)]] + [None] * (len(texts) - 1)
+        for args in (([texts[0], "   "], None), (texts, overlapping)):
+            with pytest.raises(ConfigError):
+                annotator.annotate_batch(*args)
+            with pytest.raises(ConfigError):
+                pool.annotate_batch(*args)
+
+
+# ----------------------------------------------------------------------
+# The annotator's batch plan (what the pool's exactness rests on)
+# ----------------------------------------------------------------------
+def _sentence(sentence_id, num_tokens, mention_starts):
+    tokens = [f"w{i}" for i in range(num_tokens)]
+    mentions = [
+        Mention(start, start + 1, tokens[start], CANDIDATE_PAD)
+        for start in mention_starts
+    ]
+    return Sentence(sentence_id, 0, tokens, mentions)
+
+
+@pytest.fixture(scope="module")
+def shaped_sentences():
+    """40 sentences of 6-129 tokens with 0-3 mentions (ties included),
+    plus one whose only mention lies past the encoder window."""
+    rng = np.random.default_rng(3)
+    sentences = [
+        _sentence(
+            index,
+            int(rng.choice([6, 9, 40, 129])),
+            [0, 2, 4][: int(rng.integers(0, 4))],
+        )
+        for index in range(40)
+    ]
+    sentences.insert(17, _sentence(40, MAX_TOKENS + 20, [MAX_TOKENS + 5]))
+    return sentences
+
+
+def _plan_key(sentence):
+    return (
+        len(encodable_mentions(sentence)),
+        min(len(sentence.tokens), MAX_TOKENS),
+    )
+
+
+class TestBatchPlan:
+    def test_sorted_by_shape_stable_on_ties(self, annotator, shaped_sentences):
+        plan = annotator.plan(shaped_sentences)
+        order = [index for batch in plan for index in batch]
+        keys = [_plan_key(shaped_sentences[index]) for index in order]
+        assert keys == sorted(keys)
+        assert len(set(keys)) < len(keys), "fixture must hold ties"
+        for (a, key_a), (b, key_b) in zip(
+            zip(order, keys), zip(order[1:], keys[1:])
+        ):
+            if key_a == key_b:
+                assert a < b
+        assert [len(batch) for batch in plan[:-1]] == [
+            annotator.batch_size
+        ] * (len(plan) - 1)
+
+    def test_no_mention_free_sentence_planned(self, annotator, shaped_sentences):
+        planned = {index for batch in annotator.plan(shaped_sentences) for index in batch}
+        assert planned == {
+            index
+            for index, sentence in enumerate(shaped_sentences)
+            if encodable_mentions(sentence)
+        }
+        assert 17 not in planned  # its one mention is past the window
+        assert annotator.plan([_sentence(0, 5, [])]) == []
+
+    def test_whole_batches_replan_to_themselves(self, annotator, shaped_sentences):
+        plan = annotator.plan(shaped_sentences)
+        assert len(plan) >= 4
+        planned = {index for batch in plan for index in batch}
+        unplanned = [
+            index for index in range(len(shaped_sentences)) if index not in planned
+        ]
+        assert unplanned
+        for start in range(len(plan)):
+            for stop in range(start + 1, len(plan) + 1):
+                chosen = plan[start:stop]
+                docs = sorted(
+                    [index for batch in chosen for index in batch]
+                    + unplanned[start::2]
+                )
+                replan = annotator.plan([shaped_sentences[i] for i in docs])
+                assert [[docs[j] for j in batch] for batch in replan] == chosen
+
 
 class TestPoolFaultTolerance:
     def test_crash_respawns_and_retries_then_errors(
@@ -261,7 +368,26 @@ class TestPoolFaultTolerance:
         # The pool must remain fully usable afterwards.
         with compute_dtype(np.float32):
             serial = annotator.annotate_batch(texts[:6])
-            parallel = pool.annotate_batch(texts[:6], chunk_size=4)
+            parallel = pool.annotate_batch(texts[:6], chunk_size=1)
+        annotations_equal(serial, parallel)
+
+    def test_worker_dying_mid_reply_does_not_block_the_others(
+        self, annotator, texts, pool
+    ):
+        # Worker 0 writes half of its reply and dies, on the first try
+        # and on the retry. Worker 1's task must still settle: the call
+        # returns with task 0 as its only failure.
+        tasks = [
+            _Task(0, "die_mid_reply", "x" * 200_000),
+            _Task(1, "annotate", (texts[:6], None, list(range(6)))),
+        ]
+        with pytest.raises(ParallelError) as excinfo:
+            pool._execute(tasks)
+        assert list(excinfo.value.task_errors) == [0]
+        assert "retry budget" in excinfo.value.task_errors[0]
+        with compute_dtype(np.float32):
+            serial = annotator.annotate_batch(texts[:6])
+            parallel = pool.annotate_batch(texts[:6], chunk_size=1)
         annotations_equal(serial, parallel)
 
     def test_task_exception_is_structured_not_retried(self, pool):

@@ -21,7 +21,6 @@ from repro.corpus import (
     CorpusConfig,
     EntityCounts,
     NedDataset,
-    build_vocabulary,
     generate_corpus,
 )
 from repro.corpus.vocab import SEP_TOKEN, Vocabulary

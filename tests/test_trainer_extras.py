@@ -2,7 +2,6 @@
 
 import logging
 
-import numpy as np
 import pytest
 
 from repro.core import BootlegConfig, BootlegModel, TrainConfig, Trainer

@@ -18,7 +18,7 @@ from repro.corpus import (
     generate_corpus,
     mention_growth_factor,
 )
-from repro.corpus.document import Corpus, Page
+from repro.corpus.document import Page
 from repro.kb import (
     COARSE_TYPES,
     EntityRecord,
