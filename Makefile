@@ -37,13 +37,14 @@ lint-fast:
 # over benchmarks/ and examples/), then the tier-1 test suite, then the
 # parallel layer and the report/aggregation path again under the strict
 # spawn start method (everything crossing the process boundary must
-# pickle; nothing may rely on fork-inherited state).
+# pickle; nothing may rely on fork-inherited state). pyproject.toml's
+# addopts already pass -q; a second one would hide the pass count.
 check: lint
-	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest -x
 	REPRO_PARALLEL_START_METHOD=spawn PYTHONPATH=src \
 		python -m pytest tests/test_parallel.py tests/test_report.py \
 		tests/test_store.py tests/test_live_obs.py \
-		tests/test_cascade.py tests/test_provenance.py -x -q
+		tests/test_cascade.py tests/test_provenance.py -x
 	$(MAKE) obs-live-demo
 
 test-report:

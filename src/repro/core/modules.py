@@ -100,9 +100,7 @@ class KG2Ent(Module):
             diagonal = np.arange(length)
             scores[:, diagonal, diagonal] += float(self.self_weight.data[0])
             if candidate_pad_mask is not None:
-                scores[
-                    np.broadcast_to(candidate_pad_mask[:, None, :], scores.shape)
-                ] = NEG_INF
+                np.copyto(scores, NEG_INF, where=candidate_pad_mask[:, None, :])
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)

@@ -335,8 +335,14 @@ def predict_batches(model, batches) -> list[MentionPrediction]:
     dataset-level convenience wrapper. Record arrays are sliced out of
     one per-batch snapshot, so they stay valid after the caller reuses
     or mutates the batch buffers.
+
+    A training-mode model is put into eval mode; an eval-mode one is
+    left alone, so a call walks no module tree. Under ``no_grad`` every
+    ``Dropout`` is the identity, so the forward pass reads only the
+    root's mode and a submodule's flag cannot change the records.
     """
-    model.eval()
+    if model.training:
+        model.eval()
     results: list[MentionPrediction] = []
     with no_grad():
         for batch in batches:

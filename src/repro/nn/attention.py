@@ -34,15 +34,17 @@ class ScaledDotProductAttention(Module):
         key_mask: np.ndarray | None = None,
     ) -> Tensor:
         d = query.shape[-1]
-        if not is_grad_enabled() and (self.dropout is None or not self.dropout.training):
-            # Inference fast path: in-place mask/softmax on the score
-            # array instead of one temporary per graph op. Same float op
-            # order as the autograd path, so results are bitwise equal.
+        if not is_grad_enabled():
+            # Inference fast path (dropout is the identity here): in-place
+            # scale/mask/softmax on the score array instead of one
+            # temporary per graph op. Same float op order as the autograd
+            # path, so results are bitwise equal.
             # float(): a np.float64 scalar would promote float32 scores.
-            scores = (query.data @ key.data.swapaxes(-1, -2)) * float(1.0 / np.sqrt(d))
+            scores = query.data @ key.data.swapaxes(-1, -2)
+            scores *= float(1.0 / np.sqrt(d))
             if key_mask is not None:
                 mask = np.asarray(key_mask, dtype=bool)
-                scores[np.broadcast_to(mask[..., None, :], scores.shape)] = NEG_INF
+                np.copyto(scores, NEG_INF, where=mask[..., None, :])
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)
@@ -132,6 +134,16 @@ class MultiHeadAttention(Module):
             head_mask = key_mask[..., None, :]
         attended = self.attention(q, k, v, key_mask=head_mask)
         attended = self.out_proj(self._merge_heads(attended))
+        if not is_grad_enabled():
+            # Inference fast path: dropout is the identity, and the
+            # residuals are added in place into the fresh out_proj and
+            # ff_out outputs (addition commutes, so results are bitwise
+            # equal to the graph path's).
+            attended.data += query.data
+            x = self.norm_attn(attended)
+            ff = self.ff_out(self.ff_in(x).gelu())
+            ff.data += x.data
+            return self.norm_ff(ff)
         if self.dropout is not None:
             attended = self.dropout(attended)
         x = self.norm_attn(query + attended)

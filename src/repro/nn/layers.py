@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.errors import ConfigError, ShapeError
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, get_compute_dtype, is_grad_enabled
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -47,8 +47,11 @@ class Linear(Module):
             )
         if not is_grad_enabled():
             # Inference fast path: add the bias into the matmul output
-            # instead of allocating a second full-size array.
-            out = x.data @ self.weight.data
+            # instead of allocating a second full-size array. The product
+            # is stored in the compute dtype first, as the graph path's
+            # Tensor stores it, so mixed parameter/compute dtypes round
+            # the same way.
+            out = (x.data @ self.weight.data).astype(get_compute_dtype(), copy=False)
             if self.bias is not None:
                 out += self.bias.data
             return Tensor(out)
@@ -121,8 +124,10 @@ class LayerNorm(Module):
             mu = data.sum(axis=-1, keepdims=True) * inv_n
             centered = data - mu
             var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-            normed = centered / ((var + self.eps) ** 0.5)
-            return Tensor(normed * self.gamma.data + self.beta.data)
+            centered /= (var + self.eps) ** 0.5
+            out = (centered * self.gamma.data).astype(get_compute_dtype(), copy=False)
+            out += self.beta.data
+            return Tensor(out)
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         normed = (x - mu) / ((var + self.eps) ** 0.5)
@@ -133,7 +138,8 @@ class Dropout(Module):
     """Standard (1-D) dropout with inverted scaling.
 
     The generator is supplied at construction so training runs are
-    deterministic; evaluation mode is the identity.
+    deterministic; evaluation mode and ``no_grad`` inference are the
+    identity.
     """
 
     def __init__(self, p: float, rng: np.random.Generator) -> None:
@@ -144,7 +150,7 @@ class Dropout(Module):
         self._rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
+        if not self.training or self.p == 0.0 or not is_grad_enabled():
             return x
         keep = 1.0 - self.p
         mask = self._rng.random(x.shape) < keep

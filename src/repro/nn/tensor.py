@@ -508,10 +508,9 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
 
         def backward(grad: np.ndarray):
-            return [(self, grad.transpose(inverse))]
+            return [(self, grad.transpose(np.argsort(axes)))]
 
         return Tensor._make(data, (self,), backward)
 

@@ -905,23 +905,23 @@ class AnnotatorPool:
         The owner parses the texts and takes its annotator's batch plan
         (:meth:`BootlegAnnotator.plan`), recording nothing; bad input
         raises the serial path's :class:`~repro.errors.ConfigError`
-        before anything is dispatched. Each task carries ``chunk_size``
-        whole planned batches (by default, enough for about
-        ``_CHUNKS_PER_WORKER`` tasks per worker); each worker's first
-        task also carries an even share of the documents no batch
+        before anything is dispatched, on an empty call too. Each task
+        carries ``chunk_size`` whole planned batches (by default, enough
+        for about ``_CHUNKS_PER_WORKER`` tasks per worker); each worker's
+        first task also carries an even share of the documents no batch
         holds. A task sends its documents' texts, spans and call-global
         sentence ids in input order, and the worker's annotator
         re-plans them to exactly the planned batches, so the output is
         byte-identical to the serial path's.
         """
-        if not texts:
-            return []
         if self.serial:
             return self._serial_annotate(texts, mention_spans)
         annotator = self._annotator
         if annotator is None:
             raise ParallelError("pool was built without an annotator")
         sentences = annotator.parse(texts, mention_spans)
+        if not sentences:
+            return []
         batches = annotator.plan(sentences)
         per_task = (
             max(1, chunk_size)

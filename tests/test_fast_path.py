@@ -1,5 +1,6 @@
 """Tests for the inference fast path: float32 compute policy, static
-payload caching, batched annotation, and prediction assembly."""
+payload caching, batched annotation, prediction assembly, and the
+train/eval mode contract of ``predict_batches``."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.core import (
     Trainer,
     predict,
 )
+from repro.core.trainer import predict_batches
 from repro.corpus import (
     CollateBuffers,
     CorpusConfig,
@@ -24,7 +26,7 @@ from repro.corpus import (
 from repro.errors import ConfigError
 from repro.kb import WorldConfig, generate_world
 from repro.kb.aliases import normalize_alias
-from repro.nn import compute_dtype, no_grad
+from repro.nn import Module, compute_dtype, no_grad
 from repro.nn.optim import Adam, clip_grad_norm
 
 
@@ -50,10 +52,10 @@ def dataset(world, corpus, vocab):
     )
 
 
-def make_model(world, corpus, vocab):
+def make_model(world, corpus, vocab, dropout=0.0):
     counts = EntityCounts.from_corpus(corpus, world.num_entities)
     return BootlegModel(
-        BootlegConfig(num_candidates=4, dropout=0.0),
+        BootlegConfig(num_candidates=4, dropout=dropout),
         world.kb,
         vocab,
         entity_counts=counts.counts,
@@ -215,8 +217,6 @@ class TestPredictAssembly:
 
     def test_records_survive_buffer_reuse(self, model, dataset):
         buffers = CollateBuffers()
-        from repro.core.trainer import predict_batches
-
         records = predict_batches(
             model, dataset.batches(4, buffers=buffers)
         )
@@ -242,6 +242,58 @@ class TestPredictAssembly:
         trainer._eval_accuracy()
         assert m.training
         m.eval()
+
+
+def records_identical(got, want):
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert (a.sentence_id, a.mention_index, a.predicted_entity_id) == (
+            b.sentence_id, b.mention_index, b.predicted_entity_id
+        )
+        assert np.array_equal(a.candidate_ids, b.candidate_ids)
+        assert a.candidate_scores.dtype == b.candidate_scores.dtype
+        assert np.array_equal(a.candidate_scores, b.candidate_scores)
+
+
+class TestModeContract:
+    """predict_batches sets eval mode only on a training-mode root, and a
+    no-grad forward reads no submodule's mode."""
+
+    def test_eval_model_walks_no_module_tree(self, model, dataset, monkeypatch):
+        walks = []
+        modules = Module.modules
+
+        def counting_modules(self):
+            walks.append(type(self).__name__)
+            return modules(self)
+
+        monkeypatch.setattr(Module, "modules", counting_modules)
+        assert not model.training
+        assert predict_batches(model, dataset.batches(8))
+        assert walks == []
+
+    def test_training_root_is_put_in_eval_mode(self, world, corpus, vocab, dataset):
+        m = make_model(world, corpus, vocab)
+        m.train()
+        predict_batches(m, dataset.batches(8))
+        assert not any(module.training for module in m.modules())
+
+    def test_submodule_modes_cannot_change_records(
+        self, world, corpus, vocab, dataset
+    ):
+        # dropout=0.1, so every Dropout would mask if its flag were read.
+        m = make_model(world, corpus, vocab, dropout=0.1)
+        m.eval()
+        reference = predict_batches(m, dataset.batches(8))
+        inner = m.phrase2ent[0].attention.dropout
+        inner.train()
+        assert not m.training
+        records_identical(predict_batches(m, dataset.batches(8)), reference)
+        assert inner.training
+        # Every module but the root in training mode: still the same.
+        for module in m.modules():
+            module.training = module is not m
+        records_identical(predict_batches(m, dataset.batches(8)), reference)
 
 
 class TestCollateBuffers:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.modules import KG2Ent
 from repro.errors import ConfigError, SerializationError, ShapeError
 from repro.nn import (
     MLP,
@@ -21,8 +22,10 @@ from repro.nn import (
     TransformerEncoder,
     accuracy,
     clip_grad_norm,
+    compute_dtype,
     cross_entropy,
     load_module,
+    no_grad,
     save_module,
     sinusoidal_position_encoding,
 )
@@ -137,6 +140,16 @@ class TestDropout:
         kept = out[out != 0]
         np.testing.assert_allclose(kept, 2.0)
         assert 0.4 < (out != 0).mean() < 0.6
+
+    def test_training_is_identity_under_no_grad(self):
+        drop = Dropout(0.5, make_rng())
+        assert drop.training
+        x = Tensor(np.ones((100, 100)))
+        with no_grad():
+            assert drop(x) is x
+        out = drop(x).data
+        assert (out == 0).any()
+        np.testing.assert_allclose(out[out != 0], 2.0)
 
     def test_zero_p_identity(self):
         drop = Dropout(0.0, make_rng())
@@ -297,6 +310,65 @@ class TestAttention:
     def test_additive_attention_wrong_dim(self):
         with pytest.raises(ShapeError):
             AdditiveAttention(6, make_rng())(Tensor(np.ones((2, 3, 5))))
+
+
+def randomized(module, rng, dtype):
+    """``module`` with every parameter redrawn (non-zero biases, non-unit
+    gains), then cast to ``dtype``."""
+    for param in module.parameters():
+        param.data = rng.normal(size=param.shape)
+    return module.to_dtype(dtype)
+
+
+class TestNoGradFastPaths:
+    """Each no-grad fast path returns its graph path's dtype and values
+    exactly, for every (parameter, compute) dtype pair."""
+
+    @pytest.mark.parametrize(
+        "param_dtype, compute",
+        [
+            (np.float64, np.float64),
+            (np.float32, np.float32),
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+        ],
+    )
+    def test_bit_identical_to_graph_path(self, param_dtype, compute):
+        rng = make_rng()
+        linear = randomized(Linear(8, 6, rng), rng, param_dtype)
+        norm = randomized(LayerNorm(8), rng, param_dtype)
+        mha = randomized(
+            MultiHeadAttention(8, 2, rng, dropout=0.1), rng, param_dtype
+        ).eval()
+        kg = randomized(KG2Ent(), rng, param_dtype)
+        x = rng.normal(size=(3, 5, 8))
+        context = rng.normal(size=(3, 4, 8))
+        adjacency = rng.random((3, 5, 5))
+        # Key masks (True = padding), each with one fully padded row.
+        entity_pad = np.zeros((3, 5), dtype=bool)
+        entity_pad[0, 3:] = entity_pad[2] = True
+        word_pad = np.zeros((3, 4), dtype=bool)
+        word_pad[1, 2:] = word_pad[2] = True
+
+        def outputs():
+            query, words = Tensor(x), Tensor(context)
+            return {
+                "linear": linear(query),
+                "layer_norm": norm(query),
+                "gelu": query.gelu(),
+                "self_attention": mha(query, key_mask=entity_pad),
+                "cross_attention": mha(query, words, key_mask=word_pad),
+                "kg2ent": kg(query, adjacency, candidate_pad_mask=entity_pad),
+            }
+
+        with compute_dtype(compute):
+            graph = outputs()
+            with no_grad():
+                fast = outputs()
+        for name, want in graph.items():
+            got = fast[name].data
+            assert got.dtype == want.data.dtype == np.dtype(compute), name
+            assert np.array_equal(got, want.data), name
 
 
 class TestTransformer:

@@ -205,6 +205,16 @@ class TestAnnotatorPool:
     def test_empty_input_returns_empty(self, pool):
         assert pool.annotate_batch([]) == []
 
+    def test_empty_input_still_validates_spans(self, annotator, pool):
+        # An empty call checks its span count like the serial annotator,
+        # on the multi-worker and the serial pool paths alike.
+        with AnnotatorPool.from_annotator(annotator, workers=1) as serial_pool:
+            for target in (pool, serial_pool):
+                with pytest.raises(
+                    ConfigError, match="mention_spans has 1 entries for 0 texts"
+                ):
+                    target.annotate_batch([], mention_spans=[[(0, 1)]])
+
     def test_predict_batches_identical_to_serial(self, world, vocab, model, pool):
         dataset = NedDataset(
             generate_corpus(world, CorpusConfig(num_pages=10, seed=11)),
