@@ -26,10 +26,16 @@ import numpy as np
 import repro.obs as obs
 from repro.errors import ConfigError
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.nn.attention import AdditiveAttention
-from repro.nn.layers import Embedding, Linear
+from repro.nn.attention import AdditiveAttention, softmax_
+from repro.nn.layers import Embedding, Linear, linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, get_compute_dtype, no_grad
+from repro.nn.tensor import (
+    Tensor,
+    concat,
+    get_compute_dtype,
+    is_grad_enabled,
+    no_grad,
+)
 from repro.store import DensePayloadStore, EntityPayloadStore
 
 # Rows per chunk when precomputing the static payload cache; bounds the
@@ -423,13 +429,28 @@ class TypePredictor(Module):
         batch_index = np.repeat(np.arange(batch_size), num_mentions)
         starts = mention_spans[..., 0].reshape(-1)
         ends = np.maximum(mention_spans[..., 1].reshape(-1) - 1, 0)
+        type_dim = self.coarse_embeddings.embedding_dim
+        if not is_grad_enabled():
+            # The graph path's ops on plain arrays, in its order.
+            words = word_states.data
+            classifier = self.classifier
+            logits = linear(
+                words[batch_index, starts] + words[batch_index, ends],
+                classifier.weight.data,
+                classifier.bias.data,
+            )
+            probs = softmax_(logits.copy())
+            predicted = linear(probs, self.coarse_embeddings.weight.data)
+            return (
+                Tensor(logits.reshape(batch_size, num_mentions, self.num_coarse_types)),
+                Tensor(predicted.reshape(batch_size, num_mentions, type_dim)),
+            )
         first = word_states[batch_index, starts]
         last = word_states[batch_index, ends]
         mention_vec = first + last  # (B*M, H)
         logits = self.classifier(mention_vec)
         probs = logits.softmax(axis=-1)
         predicted = probs @ self.coarse_embeddings.weight  # (B*M, type_dim)
-        type_dim = self.coarse_embeddings.embedding_dim
         return (
             logits.reshape(batch_size, num_mentions, self.num_coarse_types),
             predicted.reshape(batch_size, num_mentions, type_dim),

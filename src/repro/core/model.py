@@ -26,10 +26,10 @@ from repro.core.embeddings import EmbedderConfig, EntityEmbedder, TypePredictor
 from repro.core.modules import Ent2Ent, KG2Ent, Phrase2Ent
 from repro.core.regularization import RegularizationScheme, make_scheme
 from repro.nn.attention import NEG_INF
-from repro.nn.layers import Linear
+from repro.nn.layers import Linear, linear
 from repro.nn.loss import IGNORE_INDEX, cross_entropy
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled, stack
+from repro.nn.tensor import Tensor, get_compute_dtype, is_grad_enabled, stack
 from repro.nn.transformer import sinusoidal_position_encoding
 from repro.text.encoder import MiniBert
 
@@ -278,14 +278,12 @@ class BootlegModel(Module):
         probs = self._mask_probs[safe]
         return self._rng.random(candidate_ids.shape) < probs
 
-    def _position_payload(self, spans: np.ndarray) -> Tensor:
-        """Mention positional encoding, one vector per mention (B, M, H)."""
-        starts = np.clip(spans[..., 0], 0, self.config.max_len - 1)
-        ends = np.clip(spans[..., 1] - 1, 0, self.config.max_len - 1)
-        first = self._position_table[starts]  # (B, M, H)
-        last = self._position_table[ends]
-        combined = np.concatenate([first, last], axis=-1)
-        return self.position_proj(Tensor(combined))
+    def _position_features(self, spans: np.ndarray) -> np.ndarray:
+        """Position-table rows of each mention's first and last token,
+        concatenated (B, M, 2H)."""
+        # Rows start and end - 1; mode="clip" clamps them into the table.
+        rows = self._position_table.take(spans - (0, 1), axis=0, mode="clip")
+        return rows.reshape(*spans.shape[:-1], 2 * self.config.hidden_dim)
 
     def _title_payload(self, candidate_ids: np.ndarray) -> Tensor:
         safe = np.where(candidate_ids >= 0, candidate_ids, 0)
@@ -297,7 +295,13 @@ class BootlegModel(Module):
     def forward(self, batch: Batch) -> BootlegOutput:
         config = self.config
         batch_size, num_mentions, k = batch.candidate_ids.shape
-        words = self.encoder(batch.token_ids, pad_mask=batch.token_pad_mask)
+        grad = is_grad_enabled()
+        token_pad_mask = batch.token_pad_mask
+        if not grad and not token_pad_mask.any():
+            # A key mask that masks nothing (a one-document batch has no
+            # padded tokens) is dropped here once, not applied per block.
+            token_pad_mask = None
+        words = self.encoder(batch.token_ids, pad_mask=token_pad_mask)
 
         type_logits = None
         predicted_type = None
@@ -310,11 +314,7 @@ class BootlegModel(Module):
         if config.use_page_feature and page_feature is None:
             raise ConfigError("model expects page_feature on the batch")
 
-        use_cache = (
-            self.payload_cache_enabled
-            and not self.training
-            and not is_grad_enabled()
-        )
+        use_cache = self.payload_cache_enabled and not self.training and not grad
         if use_cache:
             entities = self.embedder.forward_cached(
                 batch.candidate_ids,
@@ -336,20 +336,26 @@ class BootlegModel(Module):
                 page_feature=page_feature if config.use_page_feature else None,
             )  # (B, M, K, H)
 
-        if self.position_proj is not None:
-            position = self._position_payload(batch.mention_spans)  # (B, M, H)
-            entities = entities + position.reshape(
-                batch_size, num_mentions, 1, config.hidden_dim
-            )
-
-        flat = entities.reshape(batch_size, num_mentions * k, config.hidden_dim)
-        candidate_pad = ~batch.candidate_mask.reshape(batch_size, num_mentions * k)
         adjacencies = batch.adjacencies[: config.num_kg_modules]
         if config.num_kg_modules > 0 and len(adjacencies) < config.num_kg_modules:
             raise ConfigError(
                 f"model expects {config.num_kg_modules} adjacency matrices, "
                 f"batch has {len(adjacencies)}"
             )
+        if not grad:
+            return self._forward_arrays(
+                batch, words, entities, type_logits, token_pad_mask, adjacencies
+            )
+
+        if self.position_proj is not None:
+            features = Tensor(self._position_features(batch.mention_spans))
+            position = self.position_proj(features)  # (B, M, H)
+            entities = entities + position.reshape(
+                batch_size, num_mentions, 1, config.hidden_dim
+            )
+
+        flat = entities.reshape(batch_size, num_mentions * k, config.hidden_dim)
+        candidate_pad = ~batch.candidate_mask.reshape(batch_size, num_mentions * k)
 
         ensemble: list[Tensor] = []
         current = flat
@@ -387,6 +393,75 @@ class BootlegModel(Module):
             type_logits=type_logits,
             contextual_entities=current.reshape(
                 batch_size, num_mentions, k, config.hidden_dim
+            ),
+        )
+
+    def _forward_arrays(
+        self,
+        batch: Batch,
+        words: Tensor,
+        entities: Tensor,
+        type_logits: Tensor | None,
+        token_pad_mask: np.ndarray | None,
+        adjacencies: list[np.ndarray],
+    ) -> BootlegOutput:
+        """The rest of :meth:`forward` under ``no_grad``, on plain arrays.
+
+        The graph path's ops in its order and compute-dtype roundings, so
+        every output is bitwise equal to it. The Phrase2Ent, Ent2Ent and
+        KG2Ent calls still take and return Tensors.
+        """
+        config = self.config
+        batch_size, num_mentions, k = batch.candidate_ids.shape
+        hidden = config.hidden_dim
+        payload = entities.data
+        if self.position_proj is not None:
+            features = self._position_features(batch.mention_spans)
+            position = linear(
+                features.astype(get_compute_dtype(), copy=False),
+                self.position_proj.weight.data,
+                self.position_proj.bias.data,
+            )  # (B, M, H)
+            payload = payload + position[:, :, None, :]
+        current = Tensor(payload.reshape(batch_size, num_mentions * k, hidden))
+        candidate_pad = ~batch.candidate_mask.reshape(batch_size, num_mentions * k)
+
+        ensemble: list[Tensor] = []
+        for layer in range(config.num_layers):
+            phrase = self.phrase2ent[layer](
+                current, words, word_pad_mask=token_pad_mask
+            )
+            cooc = self.ent2ent[layer](current, candidate_pad_mask=candidate_pad)
+            e_prime = Tensor(phrase.data + cooc.data)
+            kg_outputs = [
+                module(e_prime, adjacencies[j], candidate_pad_mask=candidate_pad)
+                for j, module in enumerate(self.kg2ent[layer])
+            ]
+            if layer == config.num_layers - 1:
+                ensemble = [e_prime, *kg_outputs]
+            if len(kg_outputs) > 1:
+                # Tensor.mean's ops: the sum times 1/n, not numpy's mean.
+                stacked = np.stack([output.data for output in kg_outputs])
+                current = Tensor(stacked.sum(axis=0) * (1.0 / len(kg_outputs)))
+            else:
+                current = kg_outputs[0] if kg_outputs else e_prime
+
+        if not config.use_ensemble_scoring:
+            ensemble = [current]
+        branch_scores = [
+            linear(branch.data, self.score_vector.data) for branch in ensemble
+        ]
+        if len(branch_scores) == 1:
+            flat_scores = branch_scores[0]
+        else:
+            flat_scores = np.stack(branch_scores).max(axis=0)
+        scores = flat_scores.reshape(batch_size, num_mentions, k)
+        np.copyto(scores, NEG_INF, where=~batch.candidate_mask)
+        return BootlegOutput(
+            scores=Tensor(scores),
+            type_logits=type_logits,
+            contextual_entities=Tensor(
+                current.data.reshape(batch_size, num_mentions, k, hidden)
             ),
         )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.attention import NEG_INF, MultiHeadAttention
+from repro.nn.attention import NEG_INF, MultiHeadAttention, softmax_
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, get_compute_dtype, is_grad_enabled
 
@@ -94,17 +94,23 @@ class KG2Ent(Module):
             # Inference fast path: add the self-loop weight straight onto
             # the diagonal and run the softmax in place — no (B, L, L)
             # eye materialization or per-op temporaries. Float op order
-            # matches the autograd path (x + w·0 == x), so results are
-            # bitwise equal.
-            scores = np.array(adjacency, dtype=get_compute_dtype(), copy=True)
+            # and roundings match the autograd path (x + w·0 == x), so
+            # results are bitwise equal: a learned weight is added after
+            # the adjacency is rounded to the compute dtype, a fixed one
+            # before.
+            weight = self.self_weight.data[0]
             diagonal = np.arange(length)
-            scores[:, diagonal, diagonal] += float(self.self_weight.data[0])
+            if self.learn_self_weight:
+                scores = np.array(adjacency, dtype=get_compute_dtype(), copy=True)
+                scores[:, diagonal, diagonal] += float(weight)
+            else:
+                scores = np.array(adjacency, copy=True)
+                scores[:, diagonal, diagonal] += weight
+                scores = scores.astype(get_compute_dtype(), copy=False)
+            key_mask = None
             if candidate_pad_mask is not None:
-                np.copyto(scores, NEG_INF, where=candidate_pad_mask[:, None, :])
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            out = scores @ entities.data
+                key_mask = candidate_pad_mask[:, None, :]
+            out = softmax_(scores, key_mask) @ entities.data
             if self.use_skip:
                 out += entities.data
             return Tensor(out)

@@ -12,11 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
-from repro.nn.layers import Dropout, LayerNorm, Linear
+from repro.nn.layers import Dropout, LayerNorm, Linear, layer_norm, linear
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, gelu, is_grad_enabled
 
 NEG_INF = -1e9
+
+
+def softmax_(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, in place on a fresh ``scores`` array.
+
+    ``mask`` (True = padding, broadcast against ``scores``) sets its
+    entries to ``NEG_INF`` first. The float ops of ``masked_fill`` then
+    ``Tensor.softmax``, in their order, so results are bitwise equal.
+    """
+    if mask is not None:
+        np.copyto(scores, NEG_INF, where=mask)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 class ScaledDotProductAttention(Module):
@@ -34,21 +49,6 @@ class ScaledDotProductAttention(Module):
         key_mask: np.ndarray | None = None,
     ) -> Tensor:
         d = query.shape[-1]
-        if not is_grad_enabled():
-            # Inference fast path (dropout is the identity here): in-place
-            # scale/mask/softmax on the score array instead of one
-            # temporary per graph op. Same float op order as the autograd
-            # path, so results are bitwise equal.
-            # float(): a np.float64 scalar would promote float32 scores.
-            scores = query.data @ key.data.swapaxes(-1, -2)
-            scores *= float(1.0 / np.sqrt(d))
-            if key_mask is not None:
-                mask = np.asarray(key_mask, dtype=bool)
-                np.copyto(scores, NEG_INF, where=mask[..., None, :])
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            return Tensor(scores @ value.data)
         scores = (query @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
         if key_mask is not None:
             # key_mask: True where the key position is PADDING (to be ignored).
@@ -124,6 +124,8 @@ class MultiHeadAttention(Module):
                 f"MHA expected hidden dim {self.hidden_dim}, got "
                 f"query {query.shape[-1]} / context {context.shape[-1]}"
             )
+        if not is_grad_enabled():
+            return Tensor(self._forward_arrays(query.data, context.data, key_mask))
         q = self._split_heads(self.q_proj(query))
         k = self._split_heads(self.k_proj(context))
         v = self._split_heads(self.v_proj(context))
@@ -134,16 +136,6 @@ class MultiHeadAttention(Module):
             head_mask = key_mask[..., None, :]
         attended = self.attention(q, k, v, key_mask=head_mask)
         attended = self.out_proj(self._merge_heads(attended))
-        if not is_grad_enabled():
-            # Inference fast path: dropout is the identity, and the
-            # residuals are added in place into the fresh out_proj and
-            # ff_out outputs (addition commutes, so results are bitwise
-            # equal to the graph path's).
-            attended.data += query.data
-            x = self.norm_attn(attended)
-            ff = self.ff_out(self.ff_in(x).gelu())
-            ff.data += x.data
-            return self.norm_ff(ff)
         if self.dropout is not None:
             attended = self.dropout(attended)
         x = self.norm_attn(query + attended)
@@ -151,6 +143,83 @@ class MultiHeadAttention(Module):
         if self.dropout is not None:
             ff = self.dropout(ff)
         return self.norm_ff(x + ff)
+
+    def _forward_arrays(
+        self,
+        query: np.ndarray,
+        context: np.ndarray,
+        key_mask: np.ndarray | None,
+    ) -> np.ndarray:
+        """The block under ``no_grad``, on plain arrays.
+
+        The graph path's float ops in its order, so results are bitwise
+        equal: dropout is the identity, and the residuals are added in
+        place into the fresh ``out_proj`` and ``ff_out`` outputs
+        (addition commutes).
+        """
+        out_proj, ff_in, ff_out = self.out_proj, self.ff_in, self.ff_out
+        norm_attn, norm_ff = self.norm_attn, self.norm_ff
+        x = linear(
+            self._attend(query, context, key_mask),
+            out_proj.weight.data,
+            out_proj.bias.data,
+        )
+        x += query
+        x = layer_norm(x, norm_attn.gamma.data, norm_attn.beta.data, norm_attn.eps)
+        ff = linear(
+            gelu(linear(x, ff_in.weight.data, ff_in.bias.data)),
+            ff_out.weight.data,
+            ff_out.bias.data,
+        )
+        ff += x
+        return layer_norm(ff, norm_ff.gamma.data, norm_ff.beta.data, norm_ff.eps)
+
+    def _attend(
+        self,
+        query: np.ndarray,
+        context: np.ndarray,
+        key_mask: np.ndarray | None,
+    ) -> np.ndarray:
+        """Multi-head softmax(Q K^T / sqrt(d)) V on arrays, heads merged
+        back to (..., L, H).
+
+        The scores are scaled, masked and softmaxed in place; they and
+        the projections are freed on return, before the feed-forward
+        allocates.
+        """
+        if context is query:
+            q, k, v = self._project_heads(query, self.q_proj, self.k_proj, self.v_proj)
+        else:
+            (q,) = self._project_heads(query, self.q_proj)
+            k, v = self._project_heads(context, self.k_proj, self.v_proj)
+        scores = q @ k.swapaxes(-1, -2)
+        # float(): a np.float64 scalar would promote float32 scores.
+        scores *= float(1.0 / np.sqrt(self.head_dim))
+        if key_mask is not None:
+            # (..., k_len) -> (..., 1 head, 1 query, k_len).
+            key_mask = np.asarray(key_mask, dtype=bool)[..., None, None, :]
+        attended = softmax_(scores, key_mask) @ v
+        *batch, _, length, _ = attended.shape
+        return attended.swapaxes(-2, -3).reshape(*batch, length, self.hidden_dim)
+
+    def _project_heads(self, x: np.ndarray, *projections: Linear) -> list[np.ndarray]:
+        """(..., L, H) -> one (..., heads, L, head_dim) view per projection.
+
+        Several projections run as one matmul over their weights
+        concatenated column-wise; each output column is the same dot
+        product either way. The concatenation is made per call, so no
+        fused copy can go stale when the weights change.
+        """
+        if len(projections) == 1:
+            weight, bias = projections[0].weight.data, projections[0].bias.data
+        else:
+            weight = np.concatenate([p.weight.data for p in projections], axis=1)
+            bias = np.concatenate([p.bias.data for p in projections])
+        *batch, length, _ = x.shape
+        fused = linear(x, weight, bias).reshape(
+            *batch, length, len(projections), self.num_heads, self.head_dim
+        )
+        return [fused[..., i, :, :].swapaxes(-2, -3) for i in range(len(projections))]
 
 
 class AdditiveAttention(Module):

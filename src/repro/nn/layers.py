@@ -21,6 +21,46 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+# ----------------------------------------------------------------------
+# Inference math on plain arrays. Each layer's no-grad branch calls its
+# function here, and so does every array-level forward built from them
+# (the no-grad attention block, MiniBert, BootlegModel); each keeps its
+# graph path's float op order and compute-dtype roundings, so results
+# are bitwise equal to the graph path's.
+# ----------------------------------------------------------------------
+def linear(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
+) -> np.ndarray:
+    """``x @ weight + bias`` over the last axis of an array.
+
+    The product is stored in the compute dtype before the bias is added
+    in place, as the graph path's Tensor stores it, so mixed
+    parameter/compute dtypes round the same way.
+    """
+    out = (x @ weight).astype(get_compute_dtype(), copy=False)
+    if bias is not None:
+        out += bias
+    return out
+
+
+def layer_norm(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
+) -> np.ndarray:
+    """Layer normalization over the last axis of an array.
+
+    The graph path's float op order (sum * 1/n, not mean); the centered
+    copy is normalized in place.
+    """
+    inv_n = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_n
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    centered /= (var + eps) ** 0.5
+    out = (centered * gamma).astype(get_compute_dtype(), copy=False)
+    out += beta
+    return out
+
+
 class Linear(Module):
     """Affine map ``y = x W + b`` applied over the last axis."""
 
@@ -46,15 +86,8 @@ class Linear(Module):
                 f"Linear expected last dim {self.in_features}, got {x.shape[-1]}"
             )
         if not is_grad_enabled():
-            # Inference fast path: add the bias into the matmul output
-            # instead of allocating a second full-size array. The product
-            # is stored in the compute dtype first, as the graph path's
-            # Tensor stores it, so mixed parameter/compute dtypes round
-            # the same way.
-            out = (x.data @ self.weight.data).astype(get_compute_dtype(), copy=False)
-            if self.bias is not None:
-                out += self.bias.data
-            return Tensor(out)
+            bias = None if self.bias is None else self.bias.data
+            return Tensor(linear(x.data, self.weight.data, bias))
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
@@ -115,18 +148,7 @@ class LayerNorm(Module):
         if x.shape[-1] != self.dim:
             raise ShapeError(f"LayerNorm expected last dim {self.dim}, got {x.shape[-1]}")
         if not is_grad_enabled():
-            # Inference fast path: one fused numpy expression instead of
-            # ~12 graph-op temporaries. Mirrors the autograd path's exact
-            # float op order (sum * 1/n, not mean) so results are bitwise
-            # identical.
-            data = x.data
-            inv_n = 1.0 / data.shape[-1]
-            mu = data.sum(axis=-1, keepdims=True) * inv_n
-            centered = data - mu
-            var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-            centered /= (var + self.eps) ** 0.5
-            out = (centered * self.gamma.data).astype(get_compute_dtype(), copy=False)
-            out += self.beta.data
+            out = layer_norm(x.data, self.gamma.data, self.beta.data, self.eps)
             return Tensor(out)
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)

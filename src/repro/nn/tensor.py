@@ -86,6 +86,31 @@ def get_compute_dtype() -> np.dtype:
     return _COMPUTE_DTYPE
 
 
+# float(): a np.float64 scalar would promote float32 activations to
+# float64 for the whole GELU expression.
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """GELU (tanh approximation) of an array: :meth:`Tensor.gelu`'s
+    inference math.
+
+    One fresh buffer is mutated in place instead of a temporary per
+    arithmetic op; the float ops are the graph path's (scaling by 0.5
+    is exact), so results are bitwise equal.
+    """
+    out = x * x
+    out *= x
+    out *= 0.044715
+    out += x
+    out *= _GELU_C
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` by summing over broadcast axes."""
     if grad.shape == shape:
@@ -409,23 +434,10 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
-        x = self.data
-        # float(): a np.float64 scalar would promote float32 activations
-        # to float64 for the whole expression.
-        c = float(np.sqrt(2.0 / np.pi))
         if not is_grad_enabled():
-            # Inference fast path: one buffer mutated in place instead of
-            # a temporary per arithmetic op.
-            out = x * x
-            out *= x
-            out *= 0.044715
-            out += x
-            out *= c
-            np.tanh(out, out=out)
-            out += 1.0
-            out *= x
-            out *= 0.5
-            return Tensor(out)
+            return Tensor(gelu(self.data))
+        x = self.data
+        c = _GELU_C
         # x*x*x, not x**3: numpy routes small integer powers through the
         # generic pow loop, which is ~10x slower than two multiplies.
         inner = c * (x + 0.044715 * (x * x * x))

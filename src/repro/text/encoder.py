@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.nn.layers import Dropout, Embedding, LayerNorm
+from repro.nn.layers import Dropout, Embedding, LayerNorm, layer_norm
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, get_compute_dtype, is_grad_enabled
 from repro.nn.transformer import TransformerEncoder, sinusoidal_position_encoding
 
 
@@ -68,6 +68,19 @@ class MiniBert(Module):
         n = token_ids.shape[1]
         if n > self.max_len:
             raise ConfigError(f"sequence length {n} exceeds max_len {self.max_len}")
+        if not is_grad_enabled():
+            # On plain arrays after the bounds-checked lookup, up to the
+            # encoder stack. The looked-up rows and the float64 position
+            # table are each rounded to the compute dtype before the add,
+            # as the graph path's Tensors round them, so results are
+            # bitwise equal.
+            embedded = self.token_embedding(token_ids).data
+            embedded += self._position_table[:n].astype(
+                get_compute_dtype(), copy=False
+            )
+            norm = self.embed_norm
+            embedded = layer_norm(embedded, norm.gamma.data, norm.beta.data, norm.eps)
+            return self.encoder(Tensor(embedded), pad_mask=pad_mask)
         embedded = self.token_embedding(token_ids)
         embedded = embedded + Tensor(self._position_table[:n])
         embedded = self.embed_norm(embedded)

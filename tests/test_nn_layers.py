@@ -1,10 +1,15 @@
 """Tests for layers, module system, attention, transformer, optimizers, losses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.model import MODEL_PRESETS, BootlegConfig, BootlegModel
 from repro.core.modules import KG2Ent
+from repro.corpus import CorpusConfig, NedDataset, build_vocabulary, generate_corpus
 from repro.errors import ConfigError, SerializationError, ShapeError
+from repro.kb import TwoHopKnowledgeGraph, WorldConfig, generate_world
 from repro.nn import (
     MLP,
     Adam,
@@ -312,27 +317,28 @@ class TestAttention:
             AdditiveAttention(6, make_rng())(Tensor(np.ones((2, 3, 5))))
 
 
-def randomized(module, rng, dtype):
+def randomized(module, rng, dtype, scale=1.0):
     """``module`` with every parameter redrawn (non-zero biases, non-unit
     gains), then cast to ``dtype``."""
     for param in module.parameters():
-        param.data = rng.normal(size=param.shape)
+        param.data = rng.normal(scale=scale, size=param.shape)
     return module.to_dtype(dtype)
+
+
+# Every (parameter, compute) dtype pair.
+DTYPE_PAIRS = [
+    (np.float64, np.float64),
+    (np.float32, np.float32),
+    (np.float32, np.float64),
+    (np.float64, np.float32),
+]
 
 
 class TestNoGradFastPaths:
     """Each no-grad fast path returns its graph path's dtype and values
     exactly, for every (parameter, compute) dtype pair."""
 
-    @pytest.mark.parametrize(
-        "param_dtype, compute",
-        [
-            (np.float64, np.float64),
-            (np.float32, np.float32),
-            (np.float32, np.float64),
-            (np.float64, np.float32),
-        ],
-    )
+    @pytest.mark.parametrize("param_dtype, compute", DTYPE_PAIRS)
     def test_bit_identical_to_graph_path(self, param_dtype, compute):
         rng = make_rng()
         linear = randomized(Linear(8, 6, rng), rng, param_dtype)
@@ -341,6 +347,7 @@ class TestNoGradFastPaths:
             MultiHeadAttention(8, 2, rng, dropout=0.1), rng, param_dtype
         ).eval()
         kg = randomized(KG2Ent(), rng, param_dtype)
+        kg_fixed = randomized(KG2Ent(learn_self_weight=False), rng, param_dtype)
         x = rng.normal(size=(3, 5, 8))
         context = rng.normal(size=(3, 4, 8))
         adjacency = rng.random((3, 5, 5))
@@ -359,6 +366,9 @@ class TestNoGradFastPaths:
                 "self_attention": mha(query, key_mask=entity_pad),
                 "cross_attention": mha(query, words, key_mask=word_pad),
                 "kg2ent": kg(query, adjacency, candidate_pad_mask=entity_pad),
+                "kg2ent_fixed_weight": kg_fixed(
+                    query, adjacency, candidate_pad_mask=entity_pad
+                ),
             }
 
         with compute_dtype(compute):
@@ -369,6 +379,86 @@ class TestNoGradFastPaths:
             got = fast[name].data
             assert got.dtype == want.data.dtype == np.dtype(compute), name
             assert np.array_equal(got, want.data), name
+
+
+@pytest.fixture(scope="module")
+def ned_world():
+    """A small world and a train split with two KGs per sentence."""
+    world = generate_world(WorldConfig(num_entities=120, seed=7))
+    corpus = generate_corpus(world, CorpusConfig(num_pages=30, seed=7))
+    vocab = build_vocabulary(corpus)
+    dataset = NedDataset(
+        corpus, "train", vocab, world.candidate_map, 4,
+        kgs=[world.kg, TwoHopKnowledgeGraph(world.kg)],
+    )
+    return world, vocab, dataset
+
+
+class TestNoGradModelForward:
+    """A no-grad ``BootlegModel`` forward, which runs on plain arrays
+    between its module calls, returns the graph forward's dtype and
+    values exactly."""
+
+    # The bench model's shape, every branch of the layer loop and the
+    # scoring (two layers, a mean over two KG outputs, one score branch,
+    # no position payload, fixed KG self-loop weights, no KG skip), and a
+    # payload without types or KG modules.
+    CONFIGS = {
+        "bootleg": {},
+        "two_layers_two_kgs": {
+            "num_layers": 2,
+            "num_kg_modules": 2,
+            "use_ensemble_scoring": False,
+            "use_position_encoding": False,
+            "kg_learn_self_weight": False,
+            "kg_use_skip": False,
+        },
+        "ent_only": MODEL_PRESETS["ent-only"],
+    }
+
+    @pytest.mark.parametrize("preset", sorted(CONFIGS))
+    @pytest.mark.parametrize("param_dtype, compute", DTYPE_PAIRS)
+    def test_bit_identical_to_graph_forward(
+        self, ned_world, preset, param_dtype, compute
+    ):
+        world, vocab, dataset = ned_world
+        config = BootlegConfig(num_candidates=4, **self.CONFIGS[preset])
+        rng = make_rng()
+        model = BootlegModel(config, world.kb, vocab, rng=rng)
+        model = randomized(model, rng, param_dtype, scale=0.3).eval()
+        # The cached payload equals the uncached one only up to float
+        # summation order; compare the rest of the forward.
+        model.payload_cache_enabled = False
+        padded = dataset.collate(dataset.encoded[:16])
+        single = dataset.collate(dataset.encoded[:1])
+        assert padded.token_pad_mask.any() and not single.token_pad_mask.any()
+        for batch in (padded, single):
+            with compute_dtype(compute):
+                graph = model(batch)
+                with no_grad():
+                    fast = model(batch)
+            for name in ("scores", "type_logits", "contextual_entities"):
+                want, got = getattr(graph, name), getattr(fast, name)
+                if want is None:
+                    assert got is None and config.use_type_prediction is False
+                    continue
+                assert got.data.dtype == want.data.dtype == np.dtype(compute), name
+                assert np.array_equal(got.data, want.data), name
+
+    def test_out_of_range_token_id_raises(self, ned_world):
+        """A bare ``weight[ids]`` gather would map -1 to the last row."""
+        world, vocab, dataset = ned_world
+        model = BootlegModel(BootlegConfig(num_candidates=4), world.kb, vocab)
+        model.eval()
+        batch = dataset.collate(dataset.encoded[:1])
+        for bad_id in (-1, len(vocab)):
+            token_ids = batch.token_ids.copy()
+            token_ids[0, 0] = bad_id
+            bad = dataclasses.replace(batch, token_ids=token_ids)
+            with pytest.raises(ShapeError):
+                model(bad)
+            with no_grad(), pytest.raises(ShapeError):
+                model(bad)
 
 
 class TestTransformer:

@@ -8,6 +8,7 @@ the disabled-path overhead (forward pass, store row gather) stays under
 explicitly requested.
 """
 
+import contextlib
 import importlib.util
 import json
 import logging
@@ -38,6 +39,7 @@ from repro.corpus import (
 )
 from repro.kb import WorldConfig, generate_world
 from repro.nn import module as nn_module
+from repro.nn import no_grad
 from repro.obs.metrics import Histogram, MetricsRegistry, metric_key
 from repro.obs.trace import SpanTracer
 from repro.utils.logging import (
@@ -414,16 +416,34 @@ class TestModuleProfiler:
         model.eval()
         model.enable_forward_profiling()
         batch = train.collate(train.encoded[:4])
+
+        def nested(span):
+            for child in span.children:
+                yield child
+                yield from nested(child)
+
         try:
-            with obs.scope() as (_, tracer):
-                model(batch)
-            events = json.dumps(tracer.to_chrome_trace())
-            for expected in ("Phrase2Ent[", "Ent2Ent[", "KG2Ent[", "MiniBert["):
-                assert expected in events
-            # The submodule spans nest under the root model span.
-            root = tracer.roots[0]
-            assert root.name == "BootlegModel"
-            assert root.children, "submodule spans must nest under the model"
+            # The graph forward, then the no-grad one `repro annotate
+            # --trace-out` runs.
+            for mode in (contextlib.nullcontext(), no_grad()):
+                with obs.scope() as (_, tracer), mode:
+                    model(batch)
+                events = json.dumps(tracer.to_chrome_trace())
+                # The submodule spans nest under the root model span.
+                root = tracer.roots[0]
+                assert root.name == "BootlegModel"
+                names = [span.name for span in nested(root)]
+                for expected in ("Phrase2Ent[", "Ent2Ent[", "KG2Ent[", "MiniBert["):
+                    assert expected in events
+                    assert any(name.startswith(expected) for name in names)
+            # A no-grad attention block runs on plain arrays: no spans
+            # inside it.
+            blocks = [
+                span for span in nested(root)
+                if span.name.startswith("MultiHeadAttention[")
+            ]
+            assert len(blocks) == 4
+            assert all(block.children == [] for block in blocks)
         finally:
             model.disable_forward_profiling()
         assert all(
