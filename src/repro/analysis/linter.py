@@ -3,7 +3,7 @@
 Scoping
 -------
 Files inside the ``repro`` package are categorized by subpackage:
-modeling rules (RA201/RA301) only apply under ``nn``/``core``/``text``/
+the modeling rule (RA201) only applies under ``nn``/``core``/``text``/
 ``baselines``/``downstream``, the obs-guard rules skip ``repro/obs``
 (the instrumentation itself), ``nn/tensor.py`` — which *defines* the
 dtype policy — is exempt from RA201, and ``repro/cascade`` — which owns

@@ -4,18 +4,6 @@ Each rule is a function ``(ctx: FileContext) -> list[Finding]``. The
 rules are deliberately repo-specific — they turn conventions that so far
 only held by code review into machine-checked invariants:
 
-``RA101`` orphan-param
-    A ``Parameter``/``Module`` constructed inside ``Module.__init__``
-    must end up on an attribute reachable by ``_named_children`` (a
-    ``self.*`` attribute, possibly through nested lists/tuples/dicts).
-    A construction that only ever lives in a local is invisible to
-    ``named_parameters()`` — it is never trained or serialized (the
-    ``kg2ent.0.0.self_weight`` bug class from PR 2).
-
-``RA102`` param-in-set
-    ``_named_children`` traverses lists, tuples and dicts — not sets.
-    Storing a parameter or module in a set silently unregisters it.
-
 ``RA201`` dtype-literal
     Modeling code (``nn``/``core``/``text``/``baselines``/
     ``downstream``) must not hard-code floating dtypes; the float32
@@ -23,12 +11,6 @@ only held by code review into machine-checked invariants:
     ``repro.nn.tensor.get_compute_dtype()`` and the ``DEFAULT_DTYPE`` /
     ``FAST_DTYPE`` constants. (``nn/tensor.py`` itself defines the
     policy and is exempt.)
-
-``RA301`` unguarded-fast-path
-    A ``forward`` that reaches into raw ``.data`` buffers bypasses
-    autograd; it must check ``is_grad_enabled()`` / ``no_grad`` /
-    ``training`` somewhere in the method so the fused branch cannot run
-    during training.
 
 ``RA401`` unguarded-obs
     Metric emissions (``*.metrics.counter/gauge/histogram``,
@@ -84,7 +66,10 @@ only held by code review into machine-checked invariants:
 
 Which package may use ``multiprocessing``, memory mapping or
 ``DecisionRecord`` is not a per-file rule: the whole-program pass
-enforces it as RA613 over ``repro.analysis.layers.CONFINED``.
+enforces it as RA613 over ``repro.analysis.layers.CONFINED``. Parameter
+registration and gradient flow are not per-file rules either: the
+runtime model verifier (:mod:`repro.analysis.model_lint`, RM101) checks
+them on the instantiated models.
 """
 
 from __future__ import annotations
@@ -97,7 +82,7 @@ from collections.abc import Callable, Iterator
 from repro.analysis.findings import SEVERITY_ERROR, Finding
 
 # Module classes shipped by the repo; used (together with in-file
-# subclassing) to recognize "module-like" constructions statically.
+# subclassing) to recognize Module subclasses statically.
 KNOWN_MODULE_CLASSES = frozenset(
     {
         "Parameter",
@@ -138,8 +123,6 @@ _SAFE_LABEL_CHARS = frozenset(
 )
 # Real keyword parameters of the registry methods, not labels.
 _NON_LABEL_KWARGS = frozenset({"reservoir_size"})
-_GRAD_GUARD_NAMES = frozenset({"is_grad_enabled", "no_grad", "training"})
-_ANCHOR_METHODS = frozenset({"append", "extend", "insert", "setdefault"})
 
 
 @dataclasses.dataclass
@@ -149,7 +132,7 @@ class FileContext:
     path: str
     source: str
     tree: ast.Module
-    # Modeling code carries the dtype / fast-path invariants.
+    # Modeling code carries the dtype invariant.
     is_modeling: bool = True
     # The repro.obs package implements the instrumentation and is exempt
     # from the obs-guard rules.
@@ -209,9 +192,11 @@ def _module_like_classes(tree: ast.Module) -> dict[str, ast.ClassDef]:
     return module_like
 
 
-def _constructor_names(tree: ast.Module) -> frozenset[str]:
-    """Names that construct a Parameter or Module when called."""
-    return KNOWN_MODULE_CLASSES | frozenset(_module_like_classes(tree))
+def _iter_init_methods(ctx: FileContext) -> Iterator[tuple[ast.ClassDef, ast.FunctionDef]]:
+    for class_node in _module_like_classes(ctx.tree).values():
+        for item in class_node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                yield class_node, item
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -222,21 +207,6 @@ def _call_name(node: ast.Call) -> str | None:
     return None
 
 
-def _is_self_target(node: ast.AST) -> bool:
-    """True for ``self.x`` / ``self.x[i]`` assignment targets."""
-    if isinstance(node, ast.Subscript):
-        return _is_self_target(node.value)
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
-
-
-def _names_in(node: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
 def _contains_name_or_attr(node: ast.AST, names: frozenset[str] | set[str]) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and sub.id in names:
@@ -244,150 +214,6 @@ def _contains_name_or_attr(node: ast.AST, names: frozenset[str] | set[str]) -> b
         if isinstance(sub, ast.Attribute) and sub.attr in names:
             return True
     return False
-
-
-# ----------------------------------------------------------------------
-# RA101 / RA102 — parameter registration in __init__
-# ----------------------------------------------------------------------
-def _iter_init_methods(ctx: FileContext) -> Iterator[tuple[ast.ClassDef, ast.FunctionDef]]:
-    for class_node in _module_like_classes(ctx.tree).values():
-        for item in class_node.body:
-            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                yield class_node, item
-
-
-def _statement_of(ctx: FileContext, node: ast.AST) -> ast.stmt | None:
-    if isinstance(node, ast.stmt):
-        return node
-    for parent in ctx.parents(node):
-        if isinstance(parent, ast.stmt):
-            return parent
-    return None
-
-
-def _in_set_display(ctx: FileContext, call: ast.Call) -> bool:
-    for parent in ctx.parents(call):
-        if isinstance(parent, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(parent, ast.Call) and _call_name(parent) in ("set", "frozenset"):
-            return True
-        if isinstance(parent, ast.stmt):
-            break
-    return False
-
-
-def check_param_registration(ctx: FileContext) -> list[Finding]:
-    """RA101 orphan-param and RA102 param-in-set."""
-    findings: list[Finding] = []
-    constructors = _constructor_names(ctx.tree)
-    for class_node, init in _iter_init_methods(ctx):
-        constructions: list[ast.Call] = [
-            node
-            for node in ast.walk(init)
-            for name in [_call_name(node) if isinstance(node, ast.Call) else None]
-            if isinstance(node, ast.Call) and name in constructors
-        ]
-        if not constructions:
-            continue
-
-        statements = [node for node in ast.walk(init) if isinstance(node, ast.stmt)]
-        # Fixpoint over locals that eventually reach a ``self.*`` slot.
-        anchored: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for stmt in statements:
-                targets: list[ast.expr] = []
-                value: ast.expr | None = None
-                if isinstance(stmt, ast.Assign):
-                    targets, value = stmt.targets, stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    targets, value = [stmt.target], stmt.value
-                elif isinstance(stmt, ast.AugAssign):
-                    targets, value = [stmt.target], stmt.value
-                elif (
-                    isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Call)
-                    and isinstance(stmt.value.func, ast.Attribute)
-                    and stmt.value.func.attr in _ANCHOR_METHODS
-                ):
-                    # container.append(x) and friends anchor their args
-                    # when the container itself is anchored.
-                    targets = [stmt.value.func.value]
-                    value = stmt.value
-                if value is None:
-                    continue
-                reaches_self = any(
-                    _is_self_target(t)
-                    or (isinstance(t, ast.Name) and t.id in anchored)
-                    or (
-                        isinstance(t, (ast.Attribute, ast.Subscript))
-                        and _names_in(t) & anchored
-                    )
-                    for t in targets
-                )
-                if reaches_self:
-                    new_names = _names_in(value) - anchored - {"self"}
-                    if new_names:
-                        anchored |= new_names
-                        changed = True
-
-        for call in constructions:
-            name = _call_name(call)
-            if _in_set_display(ctx, call):
-                findings.append(
-                    ctx.finding(
-                        "RA102",
-                        call,
-                        f"{class_node.name}.__init__ stores a {name} inside a "
-                        "set; _named_children only traverses lists/tuples/"
-                        "dicts, so it will be invisible to named_parameters()",
-                    )
-                )
-                continue
-            stmt = _statement_of(ctx, call)
-            ok = False
-            if stmt is not None:
-                if isinstance(stmt, ast.Assign):
-                    ok = any(
-                        _is_self_target(t)
-                        or (isinstance(t, ast.Name) and t.id in anchored)
-                        or (isinstance(t, ast.Tuple) and _names_in(t) <= anchored)
-                        for t in stmt.targets
-                    )
-                elif isinstance(stmt, ast.AnnAssign):
-                    target = stmt.target
-                    ok = _is_self_target(target) or (
-                        isinstance(target, ast.Name) and target.id in anchored
-                    )
-                elif isinstance(stmt, ast.AugAssign):
-                    ok = _is_self_target(stmt.target) or bool(
-                        _names_in(stmt.target) & anchored
-                    )
-                elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-                    func = stmt.value.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and func.attr in _ANCHOR_METHODS
-                    ):
-                        container = func.value
-                        ok = _is_self_target(container) or bool(
-                            _names_in(container) & anchored
-                        )
-                elif isinstance(stmt, ast.Return):
-                    ok = False
-            if not ok:
-                findings.append(
-                    ctx.finding(
-                        "RA101",
-                        call,
-                        f"{class_node.name}.__init__ constructs a {name} that "
-                        "never reaches a self.* attribute; it will be "
-                        "invisible to named_parameters() and neither trained "
-                        "nor serialized",
-                    )
-                )
-    return findings
 
 
 # ----------------------------------------------------------------------
@@ -430,42 +256,6 @@ def check_dtype_literals(ctx: FileContext) -> list[Finding]:
                         "DEFAULT_DTYPE/FAST_DTYPE constants",
                     )
                 )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# RA301 — fused fast paths must be gated on the autograd state
-# ----------------------------------------------------------------------
-def check_fast_path_guards(ctx: FileContext) -> list[Finding]:
-    """RA301 unguarded-fast-path."""
-    if not ctx.is_modeling:
-        return []
-    findings: list[Finding] = []
-    for _, class_node in _module_like_classes(ctx.tree).items():
-        for item in class_node.body:
-            if not (isinstance(item, ast.FunctionDef) and item.name == "forward"):
-                continue
-            data_reads = [
-                node
-                for node in ast.walk(item)
-                if isinstance(node, ast.Attribute)
-                and node.attr == "data"
-                and isinstance(node.ctx, ast.Load)
-            ]
-            if not data_reads:
-                continue
-            if _contains_name_or_attr(item, _GRAD_GUARD_NAMES):
-                continue
-            findings.append(
-                ctx.finding(
-                    "RA301",
-                    data_reads[0],
-                    f"{class_node.name}.forward reads raw .data buffers "
-                    "without checking is_grad_enabled()/no_grad/training; a "
-                    "fused inference branch reachable during training "
-                    "silently detaches the graph",
-                )
-            )
     return findings
 
 
@@ -893,22 +683,10 @@ class Rule:
 
 RULES: tuple[Rule, ...] = (
     Rule(
-        "RA101",
-        "orphan-param",
-        "Parameters/Modules built in __init__ must reach a self.* attribute",
-        check_param_registration,
-    ),
-    Rule(
         "RA201",
         "dtype-literal",
         "modeling code must not hard-code floating dtypes",
         check_dtype_literals,
-    ),
-    Rule(
-        "RA301",
-        "unguarded-fast-path",
-        "forward() fused .data branches need a grad/training guard",
-        check_fast_path_guards,
     ),
     Rule(
         "RA401",
@@ -943,10 +721,9 @@ RULES: tuple[Rule, ...] = (
 )
 
 # Rule ids without a Rule entry of their own, documented for
-# --list-rules: RA000 comes from the parse step of both passes, RA102
-# and RA402 from a sibling check function.
+# --list-rules: RA000 comes from the parse step of both passes, RA402
+# from a sibling check function.
 DERIVED_RULE_IDS: dict[str, str] = {
     "RA000": "parse-error — every linted file must parse",
-    "RA102": "param-in-set — parameters/modules stored in sets are unregistered",
     "RA402": "dynamic-metric-name — metric/span names must not be built per call",
 }

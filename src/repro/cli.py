@@ -496,23 +496,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         kgs=[world.kg], num_candidates=config.num_candidates,
         batch_size=args.batch_size, cascade=policy,
     )
-    predict_fn = None
-    if args.workers > 1:
-        # The annotator packs the batches; the pool only runs them.
-        from repro.parallel import predict_batches as parallel_predict
-
-        def predict_fn(pool_model, batches):
-            return parallel_predict(
-                pool_model,
-                batches,
-                workers=args.workers,
-                telemetry_interval=_pool_interval(args),
-            )
-
+    sentences = corpus.sentences(args.split)
     started = time.perf_counter()
-    records = annotator.predict_sentences(
-        corpus.sentences(args.split), predict_fn=predict_fn
-    )
+    if args.workers > 1:
+        from repro.parallel import AnnotatorPool
+
+        # Closing the pool merges the workers' last shipments, so every
+        # decision record is in before slices are attached below.
+        with AnnotatorPool.from_annotator(
+            annotator, args.workers, telemetry_interval=_pool_interval(args)
+        ) as pool:
+            records = pool.predict_sentences(sentences)
+    else:
+        records = annotator.predict_sentences(sentences)
     wall_seconds = time.perf_counter() - started
     if policy is not None:
         answered = sum(1 for r in records if getattr(r, "tier", "model") != "model")
@@ -521,7 +517,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"tier 0, {len(records) - answered} escalated",
             file=sys.stderr,
         )
-    if obs.enabled and provenance.active:
+    capturing = obs.enabled and provenance.active
+    reporting = args.report_out or args.report_html
+    if capturing or reporting:
+        # Pattern-slice membership is mined from structure (Section 5),
+        # so audits and reports carry both popularity and reasoning
+        # slices.
+        patterns = PatternSlicer(
+            world.kb, world.kg, mine_affordance_keywords(corpus, world.kb)
+        ).build_membership(sentences)
+    if capturing:
         # Stamp each captured decision record with the popularity bucket
         # and pattern slices its mention belongs to, so `repro explain
         # --slice tail` and the report drill-down can filter by slice.
@@ -529,12 +534,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             bucket: {(p.sentence_id, p.mention_index) for p in members}
             for bucket, members in slice_by_bucket(records, counts).items()
         }
-        slicer = PatternSlicer(
-            world.kb, world.kg, mine_affordance_keywords(corpus, world.kb)
-        )
-        for name, keys in slicer.build_membership(
-            corpus.sentences(args.split)
-        ).items():
+        for name, keys in patterns.items():
             membership[name] = set(keys)
         provenance.attach_slices(membership)
     buckets = f1_by_bucket(records, counts)
@@ -550,18 +550,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             title=f"{args.split} split",
         )
     )
-    if args.report_out or args.report_html:
-        # Pattern-slice membership is mined from structure (Section 5),
-        # so the report carries both popularity and reasoning slices.
-        slicer = PatternSlicer(
-            world.kb, world.kg, mine_affordance_keywords(corpus, world.kb)
-        )
-        membership = slicer.build_membership(corpus.sentences(args.split))
+    if reporting:
         report = RunReport.build(
             name=f"evaluate:{args.split}",
             records=records,
             counts=counts,
-            membership=membership,
+            membership=patterns,
             config={
                 "model": args.model,
                 "split": args.split,
@@ -600,15 +594,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         kgs=[world.kg], num_candidates=config.num_candidates,
         cascade=_cascade_policy(args),
     )
-    if args.workers > 1:
-        from repro.parallel import AnnotatorPool
-
-        with AnnotatorPool.from_annotator(
-            annotator, args.workers, telemetry_interval=_pool_interval(args)
-        ) as pool:
-            annotations = pool.annotate_batch([args.text])[0]
-    else:
-        annotations = annotator.annotate(args.text)
+    annotations = annotator.annotate(args.text)
     if not annotations:
         print("no known mentions found")
         return 0
@@ -878,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument("--split", default="val", choices=("train", "val", "test"))
     eval_parser.add_argument(
         "--workers", type=int, default=1,
-        help="shard prediction batches across this many worker processes "
+        help="run the batch plan across this many worker processes "
              "(1 = in-process serial path)",
     )
     eval_parser.add_argument(
@@ -905,11 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     annotate_parser.add_argument("--world", required=True)
     annotate_parser.add_argument("--model", required=True)
     annotate_parser.add_argument("--text", required=True)
-    annotate_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="serve annotation from a pool of this many worker processes "
-             "(1 = in-process serial path)",
-    )
     annotate_parser.set_defaults(func=cmd_annotate)
 
     lint_parser = sub.add_parser(

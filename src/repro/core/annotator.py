@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -281,23 +281,19 @@ class BootlegAnnotator:
         return results
 
     def predict_sentences(
-        self,
-        sentences: Sequence[Sentence],
-        predict_fn: Callable | None = None,
+        self, sentences: Sequence[Sentence]
     ) -> list[MentionPrediction]:
         """Prediction records for labelled sentences (``repro evaluate``).
 
         One record per encodable mention, in sentence then mention
         order (the order :func:`repro.core.trainer.predict` yields),
         each attributed to its ``tier``. Tier-0 answers are padded into
-        the model's ``(K,)`` candidate arrays. ``predict_fn(model,
-        batches)`` runs the model batches; pass
-        :func:`repro.parallel.predict_batches` bound to a worker count
-        to shard them across a pool.
+        the model's ``(K,)`` candidate arrays. A pool's
+        ``predict_sentences`` runs this call on its workers.
         """
         records: list[MentionPrediction] = []
         for sentence, (mentions, outcomes) in zip(
-            sentences, self._decide(sentences, predict_fn)
+            sentences, self._decide(sentences)
         ):
             for index, (mention, outcome) in enumerate(zip(mentions, outcomes)):
                 if isinstance(outcome, Tier0Decision):
@@ -367,9 +363,7 @@ class BootlegAnnotator:
         return [bound[start : start + size] for start in range(0, len(bound), size)]
 
     def _decide(
-        self,
-        sentences: Sequence[Sentence],
-        predict_fn: Callable | None = None,
+        self, sentences: Sequence[Sentence]
     ) -> list[tuple[list[Mention], list[Tier0Decision | MentionPrediction]]]:
         """The one path from mentions to linking decisions.
 
@@ -385,8 +379,8 @@ class BootlegAnnotator:
         of an escalated sentence ride along as model context but keep
         their tier-0 answers.
 
-        ``predict_fn`` defaults to this module's ``predict_batches``,
-        looked up at call time.
+        The model runs through this module's ``predict_batches``, looked
+        up at call time so a tracer or a test can wrap it.
         """
         mentions_per_sentence = [encodable_mentions(s) for s in sentences]
         started = time.perf_counter()
@@ -422,12 +416,11 @@ class BootlegAnnotator:
                 self.num_candidates,
                 kgs=self.kgs,
             )
-            run = predict_fn if predict_fn is not None else predict_batches
             # The dataset holds the plan's order, so cutting it at
             # batch_size builds the plan's batches; the model emits one
             # record per encoded mention, in that order.
             records = iter(
-                run(
+                predict_batches(
                     self.model,
                     dataset.batches(self.batch_size, buffers=self._collate_buffers),
                 )

@@ -24,9 +24,10 @@ or the next :meth:`ProvenanceRecorder.drain`.
 Cross-process semantics follow :mod:`repro.obs.aggregate`: pool workers
 capture into their own rings, and every telemetry shipment drains the
 backlog plus the ring. The owner folds the shipped rows in through the
-same upsert, stamped with the worker's rank. No owner path records a
-key before that key's worker rows have arrived, so upserting in arrival
-order builds the record serial capture would.
+same upsert, stamped with the worker's rank. A pooled call makes and
+records every decision in a worker, tier 0 included; the owner only
+attaches slices, once the pool has closed and every shipment is in. So
+upserting in arrival order builds the record serial capture would.
 
 Lint rule RA613 confines :class:`DecisionRecord` to ``repro.obs``, and
 RA401 keeps every ``record_*`` capture call behind ``obs.enabled``, the

@@ -8,7 +8,8 @@ else). Three pillars:
   static entity-payload cache into one shared-memory block so N workers
   share one copy;
 - :mod:`repro.parallel.pool` — a persistent :class:`AnnotatorPool` of
-  worker processes with chunked dispatch, ordered reassembly,
+  worker processes that runs an annotator's batch plan
+  (``annotate_batch``, ``predict_sentences``) with ordered reassembly,
   crash-respawn-retry, and a transparent serial fallback;
 - :mod:`repro.parallel.prefetch` — a bounded-queue background producer
   overlapping batch collation with the optimizer step.
@@ -22,8 +23,6 @@ from repro.parallel.pool import (
     AnnotatorPool,
     WorkerSpec,
     default_start_method,
-    predict_batches,
-    register_model_factory,
 )
 from repro.parallel.prefetch import PrefetchIterator, prefetch_batches
 from repro.parallel.shm import (
@@ -44,8 +43,6 @@ __all__ = [
     "ShmManifest",
     "WorkerSpec",
     "default_start_method",
-    "predict_batches",
     "prefetch_batches",
-    "register_model_factory",
     "shared_memory_available",
 ]

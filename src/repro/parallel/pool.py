@@ -5,28 +5,29 @@ work out to N worker processes that share one copy of the heavy state:
 
 - the parent exports every model parameter plus the static entity
   payload cache into one shared-memory block (:mod:`repro.parallel.shm`);
-- each worker rebuilds the model skeleton from a picklable
-  :class:`WorkerSpec` (config + KB + vocabulary), then points every
-  parameter at a zero-copy read-only view of the shared block — N
-  workers, one payload;
-- a dispatcher splits ``annotate_batch``/``predict_batches`` calls into
-  tasks of whole model batches, round-robins them over per-worker task
-  queues, and reassembles results in input order; each worker answers
-  on its own result channel, so a worker that dies part-way through a
-  reply cannot block the others;
+- each worker rebuilds the model and its annotator from a picklable
+  :class:`WorkerSpec` (config + KB + vocabulary + annotator settings),
+  then points every parameter at a zero-copy read-only view of the
+  shared block — N workers, one payload;
+- one dispatcher serves ``annotate_batch`` and ``predict_sentences``:
+  it takes the owner annotator's batch plan, splits it into tasks of
+  whole planned batches, round-robins them over per-worker task queues,
+  and reassembles results in input order; each worker answers on its
+  own result channel, so a worker that dies part-way through a reply
+  cannot block the others;
 - a crashed worker is respawned and its in-flight tasks are retried
   once before a structured :class:`~repro.errors.ParallelError` is
   raised.
 
-Determinism contract: ``annotate_batch`` takes the owner annotator's
-batch plan (:meth:`BootlegAnnotator.plan`) and sends each worker whole
-planned batches, which the worker's annotator re-plans to exactly the
-same batches — parallel output is byte-identical to the serial path for
-any worker count and chunking (verified in ``tests/test_parallel.py``).
+Determinism contract: each worker's annotator re-plans the sentences of
+a task to exactly the planned batches it was sent, so parallel output
+is byte-identical to the serial path for any worker count and chunking
+(verified in ``tests/test_parallel.py``), and every decision, tier 0
+included, is made and recorded in a worker.
 
-When ``workers <= 1``, shared memory is unavailable, or the model type
-has no registered factory, the pool degrades to the in-process serial
-path transparently; every call site keeps working.
+When ``workers <= 1``, shared memory is unavailable, or the workers
+fail to start, the pool degrades to the in-process serial path
+transparently; every call site keeps working.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ logger = get_logger("parallel.pool")
 # chunk cannot stall the whole call (work stealing via queue draining is
 # intentionally avoided to keep assignment deterministic and debuggable).
 _CHUNKS_PER_WORKER = 4
+# Times a task lost with a dead worker is resubmitted before it fails.
+_MAX_RETRIES = 1
 # Seconds to wait for a worker's ready handshake before giving up on the
 # parallel path and falling back to serial execution.
 _STARTUP_TIMEOUT = 60.0
@@ -95,7 +98,7 @@ def default_start_method() -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker specification and model factories
+# Worker specification
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class WorkerSpec:
@@ -105,84 +108,33 @@ class WorkerSpec:
     memory), not the pickle stream.
     """
 
-    model_kind: str
     model_config: dict
     kb: object
     vocab: object
-    entity_counts: np.ndarray | None
     manifest: ShmManifest
     compute_dtype: str
-    # Annotator-side state; None for predict-only pools.
-    candidate_map: object | None = None
-    kgs: list | None = None
-    num_candidates: int = 6
-    max_alias_tokens: int = 3
-    batch_size: int = 32
+    candidate_map: object
+    kgs: list
+    num_candidates: int
+    max_alias_tokens: int
+    batch_size: int
     # CascadePolicy when the source annotator runs the tiered cascade;
     # plain picklable dataclass, workers rebuild their own Tier0Linker.
-    cascade: object | None = None
-    warmup_text: str | None = None
-    # multiprocessing children share the parent's resource tracker under
-    # every start method (the tracker fd travels in the spawn prep data),
-    # so the attach-side registration of bpo-39959 is a no-op for workers
-    # and unregistering would strip the owner's entry instead. Only
-    # unrelated processes attaching from outside need True.
-    unregister_tracker: bool = False
+    cascade: object | None
     # Captured from obs.enabled when the pool starts: workers run a
     # process-local obs scope around chunk execution and ship what they
     # recorded since their last shipment back over their result channel —
     # every telemetry_interval seconds while work flows, and once more
     # (marked ``final``) at shutdown.
-    observe: bool = False
-    telemetry_interval: float = _DEFAULT_TELEMETRY_INTERVAL
+    observe: bool
+    telemetry_interval: float
     # Captured from provenance.active when the pool starts: workers run
     # a process-local provenance ring, drained into the same shipments;
     # the owner upserts the rows under worker={rank}.
-    provenance: bool = False
+    provenance: bool
 
 
-ModelFactory = Callable[[WorkerSpec], object]
-
-_MODEL_FACTORIES: dict[str, ModelFactory] = {}
-_MODEL_KINDS: dict[str, str] = {}  # type name -> factory kind
-
-
-def register_model_factory(
-    kind: str, factory: ModelFactory, model_type: type | None = None
-) -> None:
-    """Register a worker-side rebuild recipe for a model class.
-
-    ``factory(spec)`` must return a freshly constructed model whose
-    ``named_parameters()`` names match the exporting model's exactly —
-    the pool overwrites every parameter with a shared view afterwards.
-    """
-    _MODEL_FACTORIES[kind] = factory
-    if model_type is not None:
-        _MODEL_KINDS[model_type.__name__] = kind
-
-
-def _build_bootleg(spec: WorkerSpec):
-    from repro.core.model import BootlegConfig, BootlegModel
-
-    return BootlegModel(
-        BootlegConfig(**spec.model_config),
-        spec.kb,
-        spec.vocab,
-        entity_counts=spec.entity_counts,
-    )
-
-
-def _model_kind(model) -> str:
-    kind = _MODEL_KINDS.get(type(model).__name__)
-    if kind is None:
-        raise ParallelError(
-            f"no worker factory registered for {type(model).__name__}; "
-            "register one with repro.parallel.register_model_factory"
-        )
-    return kind
-
-
-def _install_bootleg_extras(model, attached: AttachedArrays) -> None:
+def _restore_payload_store(model, attached: AttachedArrays) -> None:
     """Rebuild the owner's payload store against shared state (zero-copy).
 
     When the manifest carries a store descriptor, the worker restores
@@ -193,7 +145,7 @@ def _install_bootleg_extras(model, attached: AttachedArrays) -> None:
     """
     from repro.store import restore_from_export
 
-    store_meta = getattr(attached.manifest, "store", None)
+    store_meta = attached.manifest.store
     if store_meta is not None:
         arrays = {
             key[len("store."):]: attached[key]
@@ -216,35 +168,12 @@ def _export_arrays(model) -> tuple[dict[str, np.ndarray], dict | None]:
     for name, param in model.named_parameters():
         arrays[f"param.{name}"] = param.data
     store_meta: dict | None = None
-    embedder = getattr(model, "embedder", None)
-    if embedder is not None and getattr(embedder, "static_cache_ready", False):
-        store = embedder.payload_store
+    if model.embedder.static_cache_ready:
+        store = model.embedder.payload_store
         store_meta = store.export_meta()
         for key, array in store.export_arrays().items():
             arrays[f"store.{key}"] = array
     return arrays, store_meta
-
-
-def _spec_from_model(model, manifest: ShmManifest, compute: np.dtype) -> WorkerSpec:
-    kind = _model_kind(model)
-    # entity_counts stays None: mask probabilities only matter in
-    # training mode, and workers run eval-only with every parameter
-    # overwritten by a shared view anyway.
-    return WorkerSpec(
-        model_kind=kind,
-        model_config=dataclasses.asdict(model.config),
-        kb=model.kb,
-        vocab=model.vocab,
-        entity_counts=None,
-        manifest=manifest,
-        compute_dtype=np.dtype(compute).str,
-    )
-
-
-register_model_factory("bootleg", _build_bootleg)
-# Deferred type registration avoids importing repro.core at module load
-# for callers that only want prefetching.
-_MODEL_KINDS["BootlegModel"] = "bootleg"
 
 
 # ----------------------------------------------------------------------
@@ -254,80 +183,70 @@ class _WorkerRuntime:
     """Worker-side state: the rehydrated model/annotator plus shm views."""
 
     def __init__(self, spec: WorkerSpec) -> None:
+        from repro.core.annotator import BootlegAnnotator
+        from repro.core.model import BootlegConfig, BootlegModel
         from repro.nn.tensor import compute_dtype, no_grad
 
         self._no_grad = no_grad
         self._compute_dtype = compute_dtype
         self._dtype = np.dtype(spec.compute_dtype)
-        self.attached = AttachedArrays(
-            spec.manifest, unregister_tracker=spec.unregister_tracker
+        # multiprocessing children share the parent's resource tracker
+        # under every start method (the tracker fd travels in the spawn
+        # prep data), so the attach-side registration of bpo-39959 is a
+        # no-op for workers and unregistering would strip the owner's
+        # entry instead.
+        self.attached = AttachedArrays(spec.manifest, unregister_tracker=False)
+        # No entity counts: mask probabilities only matter in training
+        # mode, and every parameter is overwritten by a shared view.
+        self.model = BootlegModel(
+            BootlegConfig(**spec.model_config), spec.kb, spec.vocab
         )
-        factory = _MODEL_FACTORIES.get(spec.model_kind)
-        if factory is None:
-            raise ParallelError(f"unknown model kind {spec.model_kind!r}")
-        self.model = factory(spec)
         params = dict(self.model.named_parameters())
-        for key in self.attached.manifest.keys():
-            if key.startswith("param."):
-                name = key[len("param."):]
-                if name not in params:
-                    raise ParallelError(
-                        f"manifest parameter {name!r} not present on the "
-                        "rebuilt model"
-                    )
-                params[name].data = self.attached[key]
-                params[name].grad = None
-        missing = set(params) - {
+        shared = {
             key[len("param."):]
             for key in self.attached.manifest.keys()
             if key.startswith("param.")
         }
-        if missing:
+        if shared != set(params):
             raise ParallelError(
-                f"manifest is missing parameters: {sorted(missing)!r}"
+                "manifest parameters differ from the rebuilt model's: "
+                f"missing {sorted(set(params) - shared)!r}, "
+                f"unknown {sorted(shared - set(params))!r}"
             )
+        for name in shared:
+            params[name].data = self.attached[f"param.{name}"]
+            params[name].grad = None
         self.model.eval()
-        if spec.model_kind == "bootleg":
-            _install_bootleg_extras(self.model, self.attached)
-        self.annotator = None
-        if spec.candidate_map is not None:
-            from repro.core.annotator import BootlegAnnotator
-
-            self.annotator = BootlegAnnotator(
-                self.model,
-                spec.vocab,
-                spec.candidate_map,
-                spec.kb,
-                kgs=spec.kgs,
-                num_candidates=spec.num_candidates,
-                max_alias_tokens=spec.max_alias_tokens,
-                batch_size=spec.batch_size,
-                cascade=spec.cascade,
-            )
-        self.warmup(spec)
-
-    def warmup(self, spec: WorkerSpec) -> None:
-        """Touch the hot path once so first-request latency is warm."""
-        if self.annotator is not None and spec.warmup_text:
-            try:
-                with self._compute_dtype(self._dtype):
-                    self.annotator.annotate_batch([spec.warmup_text])
-            except Exception:  # pragma: no cover - warmup is best effort
-                pass
+        _restore_payload_store(self.model, self.attached)
+        self.annotator = BootlegAnnotator(
+            self.model,
+            spec.vocab,
+            spec.candidate_map,
+            spec.kb,
+            kgs=spec.kgs,
+            num_candidates=spec.num_candidates,
+            max_alias_tokens=spec.max_alias_tokens,
+            batch_size=spec.batch_size,
+            cascade=spec.cascade,
+        )
 
     def run(self, kind: str, payload):
         with self._no_grad(), self._compute_dtype(self._dtype):
             if kind == "annotate":
                 texts, spans, sentence_ids = payload
-                if self.annotator is None:
-                    raise ParallelError("pool was built without an annotator")
                 return self.annotator.annotate_batch(
                     texts, spans, sentence_ids=sentence_ids
                 )
-            if kind == "predict":
-                from repro.core.trainer import predict_batches as serial_predict
+            if kind == "predict_sentences":
+                from repro.corpus.dataset import encodable_mentions
 
-                return serial_predict(self.model, payload)
+                # One record list per sentence, so the owner reassembles
+                # both task kinds alike.
+                records = iter(self.annotator.predict_sentences(payload))
+                return [
+                    [next(records) for _ in encodable_mentions(sentence)]
+                    for sentence in payload
+                ]
             if kind == "crash":  # test hook: simulate a hard worker death
                 os._exit(3)
             if kind == "die_mid_reply":  # test hook, see _worker_main
@@ -368,8 +287,8 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
         return
     if spec.observe:
         # Worker-side obs scope: chunk execution records into this
-        # process's registry/tracer (reset again so rehydration/warmup
-        # noise is excluded).
+        # process's registry/tracer (reset again so rehydration noise is
+        # excluded).
         obs.reset()
         obs.enable()
         if spec.provenance:
@@ -454,36 +373,29 @@ class _Task:
 class AnnotatorPool:
     """A persistent pool of annotator worker processes.
 
-    Build one with :meth:`from_annotator` (serving) or
-    :meth:`from_model` (batch prediction); use it as a context manager
-    or call :meth:`close` explicitly. All public methods fall back to
-    the serial in-process path when the pool is degraded
+    Build one with :meth:`from_annotator`; use it as a context manager
+    or call :meth:`close` explicitly. Every public method falls back to
+    the owner annotator's serial path when the pool is degraded
     (``workers <= 1``, shared memory unavailable, startup failure).
     """
 
     def __init__(
         self,
+        annotator,
         workers: int,
         *,
-        annotator=None,
-        model=None,
         start_method: str | None = None,
-        max_retries: int = 1,
         telemetry_interval: float | None = None,
     ) -> None:
-        if annotator is None and model is None:
-            raise ParallelError("AnnotatorPool needs an annotator or a model")
         from repro.nn.tensor import get_compute_dtype
 
         self.workers = max(int(workers), 0)
-        self.max_retries = max_retries
         self.telemetry_interval = (
             _DEFAULT_TELEMETRY_INTERVAL
             if telemetry_interval is None
             else max(0.0, float(telemetry_interval))
         )
         self._annotator = annotator
-        self._model = model if model is not None else annotator.model
         self._compute = np.dtype(get_compute_dtype())
         self._start_method = start_method or default_start_method()
         self._store: SharedArrayStore | None = None
@@ -527,36 +439,20 @@ class AnnotatorPool:
     ) -> "AnnotatorPool":
         """Pool sharing the payloads of an existing serial annotator."""
         return cls(
+            annotator,
             workers,
-            annotator=annotator,
-            start_method=start_method,
-            telemetry_interval=telemetry_interval,
-        )
-
-    @classmethod
-    def from_model(
-        cls,
-        model,
-        workers: int,
-        start_method: str | None = None,
-        telemetry_interval: float | None = None,
-    ) -> "AnnotatorPool":
-        """Predict-only pool (no mention detection / candidate map)."""
-        return cls(
-            workers,
-            model=model,
             start_method=start_method,
             telemetry_interval=telemetry_interval,
         )
 
     def _build_spec(self) -> WorkerSpec:
-        model = self._model
-        embedder = getattr(model, "embedder", None)
+        annotator = self._annotator
+        model = annotator.model
+        embedder = model.embedder
         if (
-            embedder is not None
-            and getattr(model, "payload_cache_enabled", False)
-            and not getattr(embedder, "static_cache_ready", False)
-            and not getattr(embedder.config, "use_title_feature", False)
+            model.payload_cache_enabled
+            and not embedder.static_cache_ready
+            and not embedder.config.use_title_feature
         ):
             # Build the static payload cache once in the parent so every
             # worker attaches it instead of paying a private rebuild.
@@ -566,19 +462,22 @@ class AnnotatorPool:
                 embedder.build_static_cache()
         arrays, store_meta = _export_arrays(model)
         self._store = SharedArrayStore.export(arrays, store_meta=store_meta)
-        spec = _spec_from_model(model, self._store.manifest, self._compute)
-        spec.observe = obs.enabled
-        spec.telemetry_interval = self.telemetry_interval
-        spec.provenance = obs.enabled and provenance.active
-        annotator = self._annotator
-        if annotator is not None:
-            spec.candidate_map = annotator.candidate_map
-            spec.kgs = list(annotator.kgs)
-            spec.num_candidates = annotator.num_candidates
-            spec.max_alias_tokens = annotator.max_alias_tokens
-            spec.batch_size = annotator.batch_size
-            spec.cascade = annotator.cascade
-        return spec
+        return WorkerSpec(
+            model_config=dataclasses.asdict(model.config),
+            kb=model.kb,
+            vocab=model.vocab,
+            manifest=self._store.manifest,
+            compute_dtype=self._compute.str,
+            candidate_map=annotator.candidate_map,
+            kgs=list(annotator.kgs),
+            num_candidates=annotator.num_candidates,
+            max_alias_tokens=annotator.max_alias_tokens,
+            batch_size=annotator.batch_size,
+            cascade=annotator.cascade,
+            observe=obs.enabled,
+            telemetry_interval=self.telemetry_interval,
+            provenance=obs.enabled and provenance.active,
+        )
 
     def _start(self) -> None:
         try:
@@ -824,10 +723,10 @@ class AnnotatorPool:
             if obs.enabled:
                 obs.metrics.counter("parallel.pool.worker_restarts").inc()
             for task in lost:
-                if task.retries >= self.max_retries:
+                if task.retries >= _MAX_RETRIES:
                     failures[task.task_id] = (
                         f"worker {worker_id} died (exit code {exitcode}) and "
-                        f"the retry budget ({self.max_retries}) is exhausted"
+                        f"the retry budget ({_MAX_RETRIES}) is exhausted"
                     )
                     abandoned += 1
                     continue
@@ -902,27 +801,79 @@ class AnnotatorPool:
     ) -> list:
         """Disambiguate many documents across the pool, in input order.
 
-        The owner parses the texts and takes its annotator's batch plan
-        (:meth:`BootlegAnnotator.plan`), recording nothing; bad input
-        raises the serial path's :class:`~repro.errors.ConfigError`
-        before anything is dispatched, on an empty call too. Each task
-        carries ``chunk_size`` whole planned batches (by default, enough
-        for about ``_CHUNKS_PER_WORKER`` tasks per worker); each worker's
-        first task also carries an even share of the documents no batch
-        holds. A task sends its documents' texts, spans and call-global
-        sentence ids in input order, and the worker's annotator
-        re-plans them to exactly the planned batches, so the output is
-        byte-identical to the serial path's.
+        The owner parses the texts, recording nothing; bad input raises
+        the serial path's :class:`~repro.errors.ConfigError` before
+        anything is dispatched, on an empty call too. A task sends its
+        documents' texts, detected spans and call-global sentence ids,
+        so workers skip detection; see :meth:`_dispatch` for the rest.
         """
-        if self.serial:
-            return self._serial_annotate(texts, mention_spans)
         annotator = self._annotator
-        if annotator is None:
-            raise ParallelError("pool was built without an annotator")
+        if self.serial:
+            return self._serial(annotator.annotate_batch, texts, mention_spans)
         sentences = annotator.parse(texts, mention_spans)
         if not sentences:
             return []
-        batches = annotator.plan(sentences)
+        return self._dispatch(
+            "parallel.annotate_batch",
+            "annotate",
+            sentences,
+            lambda docs: (
+                [texts[i] for i in docs],
+                [[(m.start, m.end) for m in sentences[i].mentions] for i in docs],
+                docs,
+            ),
+            chunk_size,
+        )
+
+    def predict_sentences(self, sentences: Sequence) -> list:
+        """Prediction records for labelled sentences, across the pool.
+
+        The pooled :meth:`BootlegAnnotator.predict_sentences` (what
+        ``repro evaluate --workers`` scores): tasks carry the sentences
+        themselves, each worker's annotator runs them through its own
+        ``predict_sentences``, and the records come back in the serial
+        call's sentence-then-mention order.
+        """
+        annotator = self._annotator
+        if self.serial:
+            return self._serial(annotator.predict_sentences, sentences)
+        sentences = list(sentences)
+        per_sentence = self._dispatch(
+            "parallel.predict_sentences",
+            "predict_sentences",
+            sentences,
+            lambda docs: [sentences[i] for i in docs],
+        )
+        return [record for records in per_sentence for record in records]
+
+    def _serial(self, call: Callable, *args):
+        from repro.nn.tensor import compute_dtype
+
+        with compute_dtype(self._compute):
+            return call(*args)
+
+    def _dispatch(
+        self,
+        span: str,
+        kind: str,
+        sentences: list,
+        payload: Callable[[list[int]], object],
+        chunk_size: int | None = None,
+    ) -> list:
+        """Run the owner's batch plan for ``sentences`` on the workers.
+
+        Takes the owner annotator's batch plan
+        (:meth:`BootlegAnnotator.plan`), which records nothing. Each
+        task carries ``chunk_size`` whole planned batches (by default,
+        enough for about ``_CHUNKS_PER_WORKER`` tasks per worker); each
+        worker's first task also carries an even share of the sentences
+        no batch holds (mention-free, or answered at tier 0). A task's
+        ``payload(docs)`` holds its sentence indices in input order, and
+        the worker's annotator re-plans them to exactly the planned
+        batches, so the output is byte-identical to the serial path's.
+        Returns the workers' per-sentence results in input order.
+        """
+        batches = self._annotator.plan(sentences)
         per_task = (
             max(1, chunk_size)
             if chunk_size is not None
@@ -935,74 +886,24 @@ class AnnotatorPool:
             for start in range(0, len(batches), per_task)
         ]
         planned = {index for batch in batches for index in batch}
-        unplanned = [index for index in range(len(texts)) if index not in planned]
+        unplanned = [i for i in range(len(sentences)) if i not in planned]
         if unplanned:
             # Task w goes to worker w (round-robin dispatch).
             groups += [[] for _ in range(self.workers - len(groups))]
             for worker_id in range(self.workers):
                 groups[worker_id] += unplanned[worker_id :: self.workers]
-        tasks = []
-        for group in groups:
-            if not group:
-                continue
-            docs = sorted(group)
-            spans = [[(m.start, m.end) for m in sentences[i].mentions] for i in docs]
-            tasks.append(
-                _Task(
-                    task_id=len(tasks),
-                    kind="annotate",
-                    payload=([texts[i] for i in docs], spans, docs),
-                )
-            )
-        with obs.span("parallel.annotate_batch", documents=len(texts), chunks=len(tasks)):
-            parts = self._execute(tasks)
-        results: list = [None] * len(texts)
-        for task, part in zip(tasks, parts):
-            for doc, annotations in zip(task.payload[2], part):
-                results[doc] = annotations
-        return results
-
-    def _serial_annotate(self, texts, mention_spans):
-        if self._annotator is None:
-            raise ParallelError("pool was built without an annotator")
-        from repro.nn.tensor import compute_dtype
-
-        with compute_dtype(self._compute):
-            return self._annotator.annotate_batch(texts, mention_spans)
-
-    def predict_batches(self, batches: Iterable) -> list:
-        """Shard whole batches across the pool; ordered reassembly.
-
-        Each batch is snapshot-copied as it is consumed, so iterators
-        built on reused :class:`CollateBuffers` are safe to pass.
-        """
-        if self.serial:
-            from repro.core.trainer import predict_batches as serial_predict
-            from repro.nn.tensor import compute_dtype
-
-            with compute_dtype(self._compute):
-                return serial_predict(self._model, batches)
-        snapshots = [_snapshot_batch(batch) for batch in batches]
-        if not snapshots:
-            return []
-        per_chunk = max(
-            1,
-            math.ceil(len(snapshots) / (self.workers * _CHUNKS_PER_WORKER)),
-        )
+        docs_per_task = [sorted(group) for group in groups if group]
         tasks = [
-            _Task(
-                task_id=i,
-                kind="predict",
-                payload=snapshots[start : start + per_chunk],
-            )
-            for i, start in enumerate(range(0, len(snapshots), per_chunk))
+            _Task(task_id=task_id, kind=kind, payload=payload(docs))
+            for task_id, docs in enumerate(docs_per_task)
         ]
-        with obs.span("parallel.predict_batches", batches=len(snapshots), chunks=len(tasks)):
-            chunk_results = self._execute(tasks)
-        records: list = []
-        for part in chunk_results:
-            records.extend(part)
-        return records
+        with obs.span(span, documents=len(sentences), chunks=len(tasks)):
+            parts = self._execute(tasks)
+        results: list = [None] * len(sentences)
+        for docs, part in zip(docs_per_task, parts):
+            for doc, result in zip(docs, part):
+                results[doc] = result
+        return results
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -1073,51 +974,3 @@ class AnnotatorPool:
             self.close()
         except Exception:
             pass
-
-
-def _snapshot_batch(batch):
-    """Deep-copy a batch's arrays so queue transit outlives buffer reuse."""
-    from repro.corpus.dataset import Batch
-
-    return Batch(
-        token_ids=np.array(batch.token_ids, copy=True),
-        token_pad_mask=np.array(batch.token_pad_mask, copy=True),
-        candidate_ids=np.array(batch.candidate_ids, copy=True),
-        candidate_mask=np.array(batch.candidate_mask, copy=True),
-        mention_mask=np.array(batch.mention_mask, copy=True),
-        gold_candidate=np.array(batch.gold_candidate, copy=True),
-        gold_entity_ids=np.array(batch.gold_entity_ids, copy=True),
-        mention_spans=np.array(batch.mention_spans, copy=True),
-        is_weak=np.array(batch.is_weak, copy=True),
-        evaluable=np.array(batch.evaluable, copy=True),
-        adjacencies=[np.array(adj, copy=True) for adj in batch.adjacencies],
-        sentences=list(batch.sentences),
-        page_feature=(
-            np.array(batch.page_feature, copy=True)
-            if batch.page_feature is not None
-            else None
-        ),
-    )
-
-
-def predict_batches(
-    model,
-    batches: Iterable,
-    workers: int = 1,
-    telemetry_interval: float | None = None,
-) -> list:
-    """Parallel drop-in for :func:`repro.core.trainer.predict_batches`.
-
-    With ``workers <= 1`` (or no usable pool) this is exactly the serial
-    function; otherwise batches are sharded across a transient pool and
-    the records are returned in serial order. ``telemetry_interval``
-    sets the workers' shipment cadence (for live scrapes).
-    """
-    if workers <= 1 or not shared_memory_available():
-        from repro.core.trainer import predict_batches as serial_predict
-
-        return serial_predict(model, batches)
-    with AnnotatorPool.from_model(
-        model, workers=workers, telemetry_interval=telemetry_interval
-    ) as pool:
-        return pool.predict_batches(batches)

@@ -8,7 +8,6 @@ import repro.obs as obs
 class QuietNet(Module):  # noqa: F821
     def __init__(self, rng):
         super().__init__()
-        probe = Linear(4, 4, rng)  # noqa: F821  # repro-lint: disable=RA101
         self.scale = np.float64(2.0)  # repro-lint: disable=RA201
         raw = np.float32  # bare disable suppresses all  # repro-lint: disable
 

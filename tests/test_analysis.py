@@ -1,5 +1,6 @@
 """Tests for repro.analysis: the AST linter and the model-graph verifier."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -32,8 +33,10 @@ from repro.analysis import (
     lint_source,
     suppressed_rules,
     verify_module,
+    verify_registered_models,
     walk_parameter_leaves,
 )
+from repro.analysis.model_lint import _REGISTRY, registered_models
 from repro.nn.tensor import Tensor
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -63,10 +66,7 @@ def _probe(module):
 @pytest.mark.parametrize(
     "filename, rule, count",
     [
-        ("ra101_orphan_param.py", "RA101", 1),
-        ("ra102_param_in_set.py", "RA102", 1),
         ("ra201_dtype_literal.py", "RA201", 2),
-        ("ra301_unguarded_fast_path.py", "RA301", 1),
         ("ra401_unguarded_obs.py", "RA401", 1),
         ("ra401_provenance_capture.py", "RA401", 2),
         ("ra402_dynamic_metric_name.py", "RA402", 1),
@@ -145,9 +145,9 @@ def test_suppression_inside_string_literal_does_not_suppress():
 def test_multi_rule_suppression_on_one_line():
     source = (
         "import numpy as np\n"
-        "x = np.float64(1)  # repro-lint: disable=RA201 RA301\n"
+        "x = np.float64(1)  # repro-lint: disable=RA201 RA401\n"
     )
-    assert suppressed_rules(source)[2] == frozenset({"RA201", "RA301"})
+    assert suppressed_rules(source)[2] == frozenset({"RA201", "RA401"})
     assert lint_source(source, "blob.py", is_modeling=True) == []
 
 
@@ -368,6 +368,16 @@ def test_verifier_allow_no_grad_waives_dead_param():
     assert check_grad_flow(module, _probe, allow_no_grad=("dead",)) == []
 
 
+def test_verifier_flags_every_param_when_the_loss_has_no_graph():
+    # A fast path that runs during training detaches the whole loss.
+    rng = np.random.default_rng(0)
+    module = broken.NestedContainerNet(rng)
+    findings = check_grad_flow(
+        module, lambda m: Tensor(m(Tensor(np.ones((3, 4)))).data.sum())
+    )
+    assert len(findings) == len(list(module.named_parameters()))
+
+
 def test_verifier_clean_on_nested_containers():
     rng = np.random.default_rng(0)
     module = broken.NestedContainerNet(rng)
@@ -399,6 +409,54 @@ def test_dtype_consistency_on_nested_containers():
     assert check_dtype_consistency(module) == []
 
 
+def test_registered_models_verify_clean():
+    findings = verify_registered_models()
+    assert findings == [], [f.format() for f in findings]
+
+
+def _parameter_owning_modules() -> set[str]:
+    """Names of the Module subclasses under src/repro whose class body
+    constructs a Parameter, directly or through another class that
+    does (so a container module owns its layers' parameters)."""
+    bases: dict[str, set[str]] = {}
+    calls: dict[str, set[str]] = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {
+                    ast.unparse(base).split(".")[-1] for base in node.bases
+                }
+                calls[node.name] = {
+                    ast.unparse(call.func).split(".")[-1]
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                }
+    modules, owners = {"Module"}, {"Parameter"}
+    while True:
+        more_modules = {name for name, found in bases.items() if found & modules}
+        more_owners = {
+            name
+            for name, called in calls.items()
+            if (called | bases[name]) & owners
+        }
+        if more_modules <= modules and more_owners <= owners:
+            return owners & modules
+        modules |= more_modules
+        owners |= more_owners
+
+
+def test_registered_models_reach_every_parameter_owning_module():
+    # RM101 checks registration and gradient flow only on the modules a
+    # registered model holds, so each parameter-owning class needs one.
+    reached = set()
+    for name in registered_models():
+        module, _ = _REGISTRY[name].build()
+        reached |= {type(sub).__name__ for _, sub in module.named_modules()}
+    owners = _parameter_owning_modules()
+    assert {"Linear", "MLP", "RelationModel", "BootlegModel"} <= owners
+    assert owners - reached == set()
+
+
 # ----------------------------------------------------------------------
 # CLI exit codes
 # ----------------------------------------------------------------------
@@ -415,11 +473,11 @@ def _run_cli(*args):
 
 
 def test_cli_exit_nonzero_on_fixture_corpus():
-    result = _run_cli(str(FIXTURES / "ra101_orphan_param.py"), "--json")
+    result = _run_cli(str(FIXTURES / "ra401_unguarded_obs.py"), "--json")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["errors"] == 1
-    assert payload["findings"][0]["rule"] == "RA101"
+    assert payload["findings"][0]["rule"] == "RA401"
 
 
 def test_cli_exit_zero_on_clean_tree():

@@ -246,8 +246,10 @@ class TestCascadePredict:
             assert 0.0 < kept.sum() <= 1.0 + 1e-9
 
     def test_predict_fn_receives_only_escalated_batches(
-        self, model, dataset, world, vocab, corpus
+        self, model, dataset, world, vocab, corpus, monkeypatch
     ):
+        # The function that runs the model batches is the annotator
+        # module's predict_batches, looked up at call time.
         seen = []
 
         def spy(spy_model, batches):
@@ -255,21 +257,23 @@ class TestCascadePredict:
             seen.append(sum(b.token_ids.shape[0] for b in materialized))
             return predict_batches(spy_model, iter(materialized))
 
+        monkeypatch.setattr("repro.core.annotator.predict_batches", spy)
         evaluator(world, vocab, model, STRICT).predict_sentences(
-            corpus.sentences("val"), predict_fn=spy
+            corpus.sentences("val")
         )
         assert len(seen) == 1
         assert 0 < seen[0] < len(dataset)
 
     def test_all_confident_dataset_never_calls_model(
-        self, model, world, vocab, corpus
+        self, model, world, vocab, corpus, monkeypatch
     ):
         def exploding(_model, _batches):
             raise AssertionError("model must not run when nothing escalates")
 
+        monkeypatch.setattr("repro.core.annotator.predict_batches", exploding)
         records = evaluator(
             world, vocab, model, CascadePolicy()
-        ).predict_sentences(corpus.sentences("val"), predict_fn=exploding)
+        ).predict_sentences(corpus.sentences("val"))
         assert all(r.tier == TIER_HEURISTIC for r in records)
 
 

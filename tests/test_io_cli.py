@@ -28,6 +28,8 @@ from repro.kb import (
     load_world,
     save_world,
 )
+from repro.obs.metrics import parse_metric_key
+from repro.parallel import shared_memory_available
 from repro.weaklabel import weak_label_corpus
 
 
@@ -241,7 +243,7 @@ class TestCli:
         assert "val split" in out
         assert cli_main([
             "annotate", "--world", world_path, "--model", model_path,
-            "--text", "w1 name1 w2", "--workers", "2",
+            "--text", "w1 name1 w2",
         ]) == 0
 
     def test_evaluate_batch_size_sets_model_batches(self, tmp_path):
@@ -275,6 +277,72 @@ class TestCli:
         with open(metrics_path) as handle:
             counters = json.load(handle)["counters"]
         assert counters["infer.batches"] == math.ceil(len(sentences) / 3)
+
+    @pytest.mark.skipif(
+        not shared_memory_available(), reason="POSIX shared memory unavailable"
+    )
+    def test_pooled_evaluate_matches_serial(self, tmp_path, capsys):
+        # The pool runs the serial plan's batches on its workers and
+        # makes every decision there, tier 0 included.
+        world_path = str(tmp_path / "world.json")
+        corpus_path = str(tmp_path / "corpus.jsonl")
+        model_path = str(tmp_path / "model.npz")
+        assert cli_main([
+            "generate-world", "--entities", "80", "--seed", "3",
+            "--out", world_path,
+        ]) == 0
+        assert cli_main([
+            "generate-corpus", "--world", world_path, "--pages", "30",
+            "--seed", "3", "--out", corpus_path,
+        ]) == 0
+        assert cli_main([
+            "train", "--world", world_path, "--corpus", corpus_path,
+            "--epochs", "1", "--out", model_path,
+        ]) == 0
+
+        def evaluate(workers, *extra):
+            metrics_path = tmp_path / f"metrics-{workers}-{len(extra)}.json"
+            capsys.readouterr()
+            assert cli_main([
+                "evaluate", "--world", world_path, "--corpus", corpus_path,
+                "--model", model_path, "--split", "val", "--batch-size", "3",
+                "--workers", str(workers), "--metrics-out", str(metrics_path),
+                *extra,
+            ]) == 0
+            table = capsys.readouterr().out
+            with open(metrics_path) as handle:
+                return table, json.load(handle)["counters"]
+
+        def by_worker(counters, name):
+            """``name``'s counts keyed by worker rank (None: owner-side),
+            other labels (e.g. an escalation reason) excluded."""
+            found = {}
+            for key, value in counters.items():
+                metric, labels = parse_metric_key(key)
+                if metric == name and set(labels) <= {"worker"}:
+                    found[labels.get("worker")] = value
+            return found
+
+        serial_table, serial = evaluate(1)
+        pooled_table, pooled = evaluate(2)
+        assert "val split" in serial_table
+        assert pooled_table == serial_table
+        batches = by_worker(pooled, "infer.batches")
+        assert set(batches) == {"0", "1"}
+        assert sum(batches.values()) == serial["infer.batches"]
+
+        # A policy that answers some mentions at tier 0 and escalates
+        # the rest: the cascade counters arrive from the workers only.
+        strict = ("--cascade", "--cascade-margin", "0.8",
+                  "--cascade-prior-mass", "0.85")
+        serial_table, serial = evaluate(1, *strict)
+        pooled_table, pooled = evaluate(2, *strict)
+        assert pooled_table == serial_table
+        for name in ("cascade.tier0_answered", "cascade.escalated"):
+            assert serial[name] > 0
+            counts = by_worker(pooled, name)
+            assert None not in counts and counts
+            assert sum(counts.values()) == serial[name]
 
     def test_presets_accepted(self, tmp_path):
         world_path = str(tmp_path / "world.json")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.cascade import TIER_HEURISTIC, TIER_MODEL, CascadePolicy
 from repro.core import (
     BootlegAnnotator,
     BootlegConfig,
@@ -21,7 +22,6 @@ from repro.core import (
     TrainConfig,
     Trainer,
 )
-from repro.core.trainer import predict_batches as serial_predict_batches
 from repro.corpus import (
     CollateBuffers,
     CorpusConfig,
@@ -42,7 +42,6 @@ from repro.parallel import (
     AttachedArrays,
     PrefetchIterator,
     SharedArrayStore,
-    predict_batches,
     prefetch_batches,
     shared_memory_available,
 )
@@ -52,6 +51,10 @@ from repro.parallel.shm import _ALIGNMENT
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="POSIX shared memory unavailable"
 )
+
+# Escalates part of the 120-entity world's mentions (tiny worlds'
+# priors are otherwise confident enough to answer everything).
+STRICT = CascadePolicy(margin=0.8, prior_mass=0.85)
 
 
 # ----------------------------------------------------------------------
@@ -123,12 +126,41 @@ def pool(annotator):
             yield pool
 
 
+@pytest.fixture(scope="module")
+def eval_sentences(world, annotator):
+    """Labelled sentences whose plan holds several batches, with three
+    mention-free sentences among them."""
+    sentences = list(
+        generate_corpus(world, CorpusConfig(num_pages=10, seed=11)).sentences(
+            "test"
+        )
+    )
+    for position in (1, 6, 11):
+        sentences.insert(position, _sentence(10_000 + position, 5, []))
+    assert len(annotator.plan(sentences)) >= 3
+    return sentences
+
+
 def annotations_equal(a, b):
     assert len(a) == len(b)
     for doc_a, doc_b in zip(a, b):
         assert [dataclasses.asdict(m) for m in doc_a] == [
             dataclasses.asdict(m) for m in doc_b
         ]
+
+
+def records_identical(a, b):
+    """Every MentionPrediction field equal; arrays bit for bit."""
+    assert len(a) == len(b)
+    for record_a, record_b in zip(a, b):
+        for field in dataclasses.fields(record_a):
+            value_a = getattr(record_a, field.name)
+            value_b = getattr(record_b, field.name)
+            if isinstance(value_a, np.ndarray):
+                assert value_a.dtype == value_b.dtype, field.name
+                assert np.array_equal(value_a, value_b), field.name
+            else:
+                assert value_a == value_b, field.name
 
 
 # ----------------------------------------------------------------------
@@ -215,52 +247,50 @@ class TestAnnotatorPool:
                 ):
                     target.annotate_batch([], mention_spans=[[(0, 1)]])
 
-    def test_predict_batches_identical_to_serial(self, world, vocab, model, pool):
-        dataset = NedDataset(
-            generate_corpus(world, CorpusConfig(num_pages=10, seed=11)),
-            "test",
+    def test_predict_sentences_identical_to_serial(
+        self, world, vocab, model, annotator, pool, eval_sentences
+    ):
+        cascade = BootlegAnnotator(
+            model,
             vocab,
             world.candidate_map,
-            4,
+            world.kb,
             kgs=[world.kg],
+            num_candidates=4,
+            batch_size=4,
+            cascade=STRICT,
         )
+        assert len(cascade.plan(eval_sentences)) >= 2
         with compute_dtype(np.float32):
-            serial = serial_predict_batches(model, dataset.batches(4))
-            parallel = pool.predict_batches(dataset.batches(4))
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.sentence_id == b.sentence_id
-            assert a.mention_index == b.mention_index
-            assert a.predicted_entity_id == b.predicted_entity_id
-            assert np.array_equal(a.candidate_scores, b.candidate_scores)
-            assert np.array_equal(a.candidate_ids, b.candidate_ids)
+            serial = annotator.predict_sentences(eval_sentences)
+            parallel = pool.predict_sentences(eval_sentences)
+            records_identical(serial, parallel)
+            serial = cascade.predict_sentences(eval_sentences)
+            with AnnotatorPool.from_annotator(cascade, workers=2) as cascade_pool:
+                assert not cascade_pool.serial
+                parallel = cascade_pool.predict_sentences(eval_sentences)
+        records_identical(serial, parallel)
+        tiers: dict[int, set[str]] = {}
+        for record in serial:
+            tiers.setdefault(record.sentence_id, set()).add(record.tier)
+        assert {TIER_HEURISTIC} in tiers.values(), "no tier-0-only sentence"
+        assert any(TIER_MODEL in found for found in tiers.values())
 
-    def test_module_level_predict_falls_back_serial(self, world, vocab, model):
-        dataset = NedDataset(
-            generate_corpus(world, CorpusConfig(num_pages=10, seed=13)),
-            "test",
-            vocab,
-            world.candidate_map,
-            4,
-            kgs=[world.kg],
-        )
-        with compute_dtype(np.float32):
-            serial = serial_predict_batches(model, dataset.batches(4))
-            fallback = predict_batches(model, dataset.batches(4), workers=1)
-        assert len(serial) == len(fallback)
-        for a, b in zip(serial, fallback):
-            assert np.array_equal(a.candidate_scores, b.candidate_scores)
-
-    def test_workers_leq_one_is_serial_mode(self, annotator, texts):
+    def test_workers_leq_one_is_serial_mode(
+        self, annotator, texts, eval_sentences
+    ):
         with compute_dtype(np.float32):
             pool = AnnotatorPool.from_annotator(annotator, workers=1)
             try:
                 assert pool.serial
                 serial = annotator.annotate_batch(texts[:4])
                 result = pool.annotate_batch(texts[:4])
+                records = pool.predict_sentences(eval_sentences)
             finally:
                 pool.close()
+            serial_records = annotator.predict_sentences(eval_sentences)
         annotations_equal(serial, result)
+        records_identical(serial_records, records)
 
     def test_mention_spans_validated_and_honored(self, annotator, texts, pool):
         spans = [None] * len(texts)
@@ -404,10 +434,6 @@ class TestPoolFaultTolerance:
         with pytest.raises(ParallelError) as excinfo:
             pool._execute([_Task(0, "no-such-kind", None)])
         assert "unknown task kind" in excinfo.value.task_errors[0]
-
-    def test_pool_without_source_raises(self):
-        with pytest.raises(ParallelError):
-            AnnotatorPool(2)
 
 
 class TestWorkerZeroCopy:

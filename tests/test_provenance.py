@@ -597,10 +597,11 @@ class TestExplainCli:
     def test_pooled_evaluate_audit_matches_serial(
         self, artifacts, tmp_path
     ):
-        # Pooled evaluate is the one path where the owner records after
-        # worker rows arrive: the tier-0 half and the slices are upserted
-        # onto the shipped model half. The audit must not depend on
-        # where the model ran, except for the rank that ran it.
+        # Pooled evaluate makes and records every decision in a worker,
+        # tier 0 included; the owner attaches slices once the pool has
+        # closed. The audit must hold the serial rows, key for key,
+        # except for the rank that decided each and its timing. Rows
+        # follow the order the workers' shipments arrived in.
         world_path, corpus_path, model_path = artifacts
 
         def audit(workers):
@@ -614,19 +615,23 @@ class TestExplainCli:
             ]) == 0
             return [json.loads(line) for line in path.read_text().splitlines()]
 
+        def by_key(rows):
+            strip = ("worker", "seconds")
+            keyed = {
+                (row["sentence_id"], row["mention_index"]): {
+                    k: v for k, v in row.items() if k not in strip
+                }
+                for row in rows
+            }
+            assert len(keyed) == len(rows), "duplicate audit keys"
+            return keyed
+
         serial, pooled = audit(1), audit(2)
-        escalated = {row["sentence_id"] for row in serial if row["tier"] == "model"}
-        assert len(escalated) >= 2, "the policy must escalate several sentences"
-        for row in serial:
-            assert row["worker"] == -1
-        for row in pooled:
-            assert (row["worker"] >= 0) == (row["sentence_id"] in escalated)
-        strip = ("worker", "seconds")
-        assert [
-            {k: v for k, v in row.items() if k not in strip} for row in pooled
-        ] == [
-            {k: v for k, v in row.items() if k not in strip} for row in serial
-        ]
+        tiers = {row["tier"] for row in serial}
+        assert tiers == {"tier0", "model"}, "the policy must answer and escalate"
+        assert all(row["worker"] == -1 for row in serial)
+        assert all(row["worker"] >= 0 for row in pooled)
+        assert by_key(pooled) == by_key(serial)
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,10 @@ import pytest
 
 import repro.obs as obs
 from repro import cli
-from repro.core import BootlegConfig, BootlegModel
+from repro.core import BootlegAnnotator, BootlegConfig, BootlegModel
 from repro.corpus import (
     CorpusConfig,
     EntityCounts,
-    NedDataset,
     build_vocabulary,
     generate_corpus,
 )
@@ -316,14 +315,20 @@ class TestPoolAggregation:
             entity_counts=counts.counts,
         )
         model.eval()
-        dataset = NedDataset(
-            corpus, "test", vocab, world.candidate_map, 4, kgs=[world.kg]
+        annotator = BootlegAnnotator(
+            model,
+            vocab,
+            world.candidate_map,
+            world.kb,
+            kgs=[world.kg],
+            num_candidates=4,
+            batch_size=4,
         )
         with obs.scope():
             with compute_dtype(np.float32):
-                with AnnotatorPool.from_model(model, workers=2) as pool:
+                with AnnotatorPool.from_annotator(annotator, workers=2) as pool:
                     assert not pool.serial
-                    records = pool.predict_batches(dataset.batches(4))
+                    records = pool.predict_sentences(corpus.sentences("test"))
             snapshot = obs.metrics.to_dict()
             trace = obs.tracer.to_chrome_trace()
         assert records, "pooled prediction produced no records"
@@ -360,12 +365,12 @@ class TestPoolAggregation:
         assert len(pids) >= 2, "merged trace must span owner + workers"
         names = {event["name"] for event in events}
         assert "parallel.pool.chunk" in names
-        assert "parallel.predict_batches" in names
+        assert "parallel.predict_sentences" in names
         # Worker chunk spans carry worker pids, not the owner's.
         owner_pid = next(
             event["pid"]
             for event in events
-            if event["name"] == "parallel.predict_batches"
+            if event["name"] == "parallel.predict_sentences"
         )
         chunk_pids = {
             event["pid"]
