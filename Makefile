@@ -8,7 +8,7 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 # Repo-invariant linter + whole-program pass (import layering and
 # confinement, resource lifecycles, fork/thread safety) + runtime
@@ -48,13 +48,13 @@ check: lint
 	$(MAKE) obs-live-demo
 
 test-report:
-	pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src python -m pytest tests/ 2>&1 | tee test_output.txt
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 bench-report:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 # The performance ledger (BENCHMARK.json, bench_e2e/): the benchmark's
 # self-tests, then one run of every workload BENCHMARK.json lists, for
@@ -109,8 +109,9 @@ clean-cache:
 	rm -rf .repro_cache
 
 examples:
-	python examples/quickstart.py
-	python examples/train_custom_kb.py
-	python examples/tail_disambiguation.py
-	python examples/embedding_compression.py
-	python examples/downstream_relation_extraction.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/train_custom_kb.py
+	PYTHONPATH=src python examples/tail_disambiguation.py
+	PYTHONPATH=src python examples/embedding_compression.py
+	PYTHONPATH=src python examples/downstream_relation_extraction.py
+	PYTHONPATH=src python examples/error_analysis.py

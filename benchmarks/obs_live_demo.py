@@ -8,9 +8,10 @@ and polls its HTTP endpoint from the outside — the point is proving the
 telemetry plane answers while the run is still in flight:
 
 - ``/metrics`` must serve Prometheus-format per-worker series
-  (``parallel_pool_chunk_seconds{...worker="N"...}``) and sampler
-  gauges (``process_resident_bytes``, ``store_resident_bytes``)
-  while the evaluate process is still alive;
+  (``parallel_pool_chunk_seconds{...worker="N"...}``) for every rank
+  ``0..--workers-1`` and sampler gauges (``process_resident_bytes``,
+  ``store_resident_bytes``) while the evaluate process is still alive
+  (scraping continues until all are seen or the run ends);
 - ``/healthz`` must report the ``pool`` component with every worker
   alive and the ``store`` component ready, mid-run.
 
@@ -135,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         reader.start()
 
         base_url: str | None = None
+        ranks = {str(rank) for rank in range(args.workers)}
         saw_workers: set[str] = set()
         saw_process_gauge = False
         saw_store_gauge = False
@@ -175,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                     ) == args.workers:
                         saw_pool_health = True
                 done = (
-                    len(saw_workers) >= 1
+                    ranks <= saw_workers
                     and saw_process_gauge
                     and saw_store_gauge
                     and saw_pool_health
@@ -192,10 +194,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"obs-live-demo: evaluate exited {process.returncode}")
             return 1
         failures = []
-        if not saw_workers:
+        missing = sorted(ranks - saw_workers, key=int)
+        if missing:
             failures.append(
                 "no parallel_pool_chunk_seconds{worker=...} series were "
-                "served mid-run"
+                f"served mid-run for worker(s) {', '.join(missing)} (saw "
+                f"{sorted(saw_workers, key=int) or 'none'})"
             )
         if not saw_process_gauge:
             failures.append("process_resident_bytes gauge never appeared")
@@ -212,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             "obs-live-demo OK: live per-worker series "
-            f"(workers {sorted(saw_workers)}), sampler gauges, and pool "
+            f"(workers {sorted(saw_workers, key=int)}), sampler gauges, and pool "
             "health were all served mid-run"
         )
     return 0

@@ -12,8 +12,7 @@ Contract pieces
 ---------------
 ``FORBIDDEN_EDGES``
     Prefix-matched import bans (RA610). An importer prefix may not
-    import a target prefix, with per-module exceptions listed in
-    ``ALLOWED_EDGES`` (each carrying a justification).
+    import a target prefix; there are no per-module exceptions.
 
 ``CONFINED``
     Dotted names that only their home packages may use (RA613): process
@@ -77,14 +76,14 @@ FORBIDDEN_EDGES: tuple[ForbiddenEdge, ...] = (
     ),
     ForbiddenEdge(
         importers=(
-            "repro.nn", "repro.kb", "repro.corpus", "repro.text",
-            "repro.eval", "repro.store", "repro.baselines",
+            "repro.nn", "repro.core", "repro.kb", "repro.corpus",
+            "repro.text", "repro.eval", "repro.store", "repro.baselines",
             "repro.downstream", "repro.weaklabel", "repro.obs",
             "repro.utils", "repro.errors", "repro.cascade",
         ),
         targets=("repro.parallel",),
         reason="process fan-out sits above the model/data layers; only "
-        "repro.core (deferred prefetch wiring) and the CLI may drive it",
+        "the CLI may drive it",
     ),
     ForbiddenEdge(
         importers=("repro.cascade",),
@@ -106,16 +105,6 @@ FORBIDDEN_EDGES: tuple[ForbiddenEdge, ...] = (
         "repro.obs recording API",
     ),
 )
-
-# Sanctioned module-to-module exceptions to FORBIDDEN_EDGES. Keys are
-# (importer module, imported module); values are the justification that
-# a reviewer signed off on.
-ALLOWED_EDGES: dict[tuple[str, str], str] = {
-    ("repro.core.trainer", "repro.parallel.prefetch"): (
-        "deferred (function-level) import: the trainer optionally "
-        "prefetches batches; the import only runs when --prefetch is on"
-    ),
-}
 
 # Dotted names confined to their home packages (RA613). A use is an
 # import, a from-import (checked as ``base.symbol``), or an attribute
@@ -167,8 +156,6 @@ def _under(name: str, prefixes: tuple[str, ...]) -> bool:
 
 def edge_violation(importer: str, imported: str) -> ForbiddenEdge | None:
     """Return the violated contract edge for ``importer -> imported``."""
-    if (importer, imported) in ALLOWED_EDGES:
-        return None
     for edge in FORBIDDEN_EDGES:
         if _under(importer, edge.importers) and _under(imported, edge.targets):
             return edge

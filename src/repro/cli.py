@@ -36,7 +36,7 @@ from repro.corpus.generator import CorpusConfig, generate_corpus
 from repro.corpus.io import load_corpus, save_corpus
 from repro.corpus.stats import EntityCounts
 from repro.corpus.vocab import SPECIAL_TOKENS, Vocabulary
-from repro.errors import ReproError, StoreError
+from repro.errors import ReproError, SerializationError, StoreError
 from repro.eval.patterns import PatternSlicer, mine_affordance_keywords
 from repro.eval.slices import f1_by_bucket, mentions_by_bucket, slice_by_bucket
 from repro.obs.report import RunReport, diff_reports, regressions
@@ -54,6 +54,24 @@ def _vocab_from_tokens(tokens: list[str]) -> Vocabulary:
 
 def _vocab_content_tokens(vocab: Vocabulary) -> list[str]:
     return [vocab.decode_id(i) for i in range(len(SPECIAL_TOKENS), len(vocab))]
+
+
+def _positive(kind: type):
+    """argparse ``type=`` for an int or float flag that must be > 0, so a
+    bad value is a usage error rather than a traceback mid-setup."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    return parse
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +105,8 @@ def _telemetry_parser() -> argparse.ArgumentParser:
              "0 binds an ephemeral port, printed on stderr",
     )
     group.add_argument(
-        "--sample-interval", type=float, default=1.0, metavar="SECONDS",
+        "--sample-interval", type=_positive(float), default=1.0,
+        metavar="SECONDS",
         help="resource sampler + live worker-snapshot cadence when "
              "--serve-metrics is active (default 1.0)",
     )
@@ -102,7 +121,7 @@ def _telemetry_parser() -> argparse.ArgumentParser:
              "and write them as JSONL (query with `repro explain`)",
     )
     group.add_argument(
-        "--provenance-ring", type=int, metavar="N",
+        "--provenance-ring", type=_positive(int), metavar="N",
         default=provenance.DEFAULT_CAPACITY,
         help="decision-record ring capacity before spilling to the "
              f"--provenance-out file (default {provenance.DEFAULT_CAPACITY})",
@@ -294,9 +313,9 @@ def _setup_telemetry(args: argparse.Namespace) -> None:
                 interval=args.sample_interval
             ).start()
         except BaseException:
-            # E.g. the sampler rejecting --sample-interval 0 must not
-            # strand the already-started HTTP server (and its thread)
-            # for the rest of the process.
+            # A sampler that fails to start must not strand the
+            # already-started HTTP server (and its thread) for the rest
+            # of the process.
             _teardown_live()
             raise
         print(f"telemetry endpoint at {server.url}/metrics", file=sys.stderr)
@@ -421,7 +440,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             learning_rate=args.learning_rate,
             seed=args.seed,
-            prefetch_batches=args.prefetch,
         ),
     )
     started = time.perf_counter()
@@ -469,8 +487,22 @@ def _load_model(world, checkpoint: str):
     import json
     from pathlib import Path
 
-    with np.load(Path(checkpoint)) as archive:
-        metadata = json.loads(archive["__metadata__"].tobytes().decode("utf-8"))
+    path = Path(checkpoint)
+    try:
+        archive = np.load(path)
+    except OSError as error:
+        raise SerializationError(f"cannot read checkpoint {path}: {error}") from error
+    except ValueError:  # numpy refuses pickled or text data
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # also a bare .npy array
+        raise SerializationError(f"not an .npz checkpoint: {path}")
+    with archive:
+        raw_metadata = archive.get("__metadata__")
+    if raw_metadata is None:
+        raise SerializationError(
+            f"checkpoint has no metadata (not saved by `repro train`): {path}"
+        )
+    metadata = json.loads(raw_metadata.tobytes().decode("utf-8"))
     vocab = _vocab_from_tokens(metadata["vocab_tokens"])
     config = BootlegConfig(**metadata["model_config"])
     entity_counts = np.asarray(metadata["entity_counts"])
@@ -841,11 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_parser.add_argument("--learning-rate", type=float, default=3e-3)
     train_parser.add_argument("--candidates", type=int, default=6)
     train_parser.add_argument("--seed", type=int, default=0)
-    train_parser.add_argument(
-        "--prefetch", type=int, default=0, metavar="DEPTH",
-        help="collate batches on a background thread, keeping up to DEPTH "
-             "batches queued ahead of the optimizer (0 = inline)",
-    )
     train_parser.add_argument("--out", required=True)
     train_parser.add_argument(
         "--report-out", metavar="PATH", default=None,

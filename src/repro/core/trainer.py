@@ -11,7 +11,6 @@ Works for any model exposing the protocol used by
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 
@@ -43,10 +42,6 @@ class TrainConfig:
     # Periodic validation (the paper's AIDA fine-tuning protocol evaluates
     # every 25 steps and keeps the best-validation checkpoint). 0 = off.
     eval_every_steps: int = 0
-    # Depth of the background batch-collation queue (see
-    # repro.parallel.prefetch); 0 collates inline. Training results are
-    # bit-identical either way.
-    prefetch_batches: int = 0
 
     def validate(self) -> None:
         if self.epochs < 0:
@@ -57,8 +52,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.eval_every_steps < 0:
             raise ConfigError("eval_every_steps must be non-negative")
-        if self.prefetch_batches < 0:
-            raise ConfigError("prefetch_batches must be non-negative")
 
 
 @dataclasses.dataclass
@@ -181,30 +174,6 @@ class Trainer:
             epoch_seconds=epoch_hist.summary(),
         )
 
-    def _epoch_batches(self):
-        """One epoch's batch stream as a context manager.
-
-        With ``prefetch_batches > 0`` collation runs on a background
-        producer thread (the context join guarantees the thread dies
-        even when an epoch aborts mid-stream); otherwise this is the
-        plain inline generator. The rng is consumed in the same order
-        either way, so the streams are bit-identical.
-        """
-        if self.config.prefetch_batches > 0:
-            # Imported lazily: core must not depend on the parallel
-            # package unless the knob is actually turned on.
-            from repro.parallel.prefetch import prefetch_batches
-
-            return prefetch_batches(
-                self.dataset,
-                self.config.batch_size,
-                self._rng,
-                depth=self.config.prefetch_batches,
-            )
-        return contextlib.nullcontext(
-            self.dataset.batches(self.config.batch_size, self._rng)
-        )
-
     def _eval_accuracy(self) -> float:
         """Fraction of evaluable eval mentions disambiguated correctly.
 
@@ -235,9 +204,10 @@ class Trainer:
             start = time.perf_counter()
             losses: list[float] = []
             epoch_eval_accuracy: float | None = None
-            with obs.span("train.epoch", epoch=epoch), \
-                    self._epoch_batches() as epoch_batches:
-                for batch in epoch_batches:
+            with obs.span("train.epoch", epoch=epoch):
+                for batch in self.dataset.batches(
+                    self.config.batch_size, self._rng
+                ):
                     observing = obs.enabled
                     step_start = time.perf_counter() if observing else 0.0
                     self.optimizer.zero_grad()

@@ -317,31 +317,21 @@ class NedDataset:
         self,
         batch_size: int,
         rng: np.random.Generator | None = None,
-        buffers: CollateBuffers | Sequence[CollateBuffers] | None = None,
+        buffers: CollateBuffers | None = None,
     ) -> Iterator[Batch]:
         """Yield batches; shuffled when ``rng`` is given.
 
         ``buffers`` recycles padded arrays across batches; each yielded
-        batch is then invalidated by the next iteration step. Passing a
-        *sequence* of buffer arenas rotates through them per batch, so a
-        batch stays valid for ``len(buffers) - 1`` further steps — the
-        prefetching pipeline uses this to collate ahead of the consumer
-        (see :mod:`repro.parallel.prefetch`).
+        batch is then invalidated by the next iteration step.
         """
         if batch_size < 1:
             raise CorpusError("batch_size must be >= 1")
-        ring: Sequence[CollateBuffers] | None = None
-        if buffers is not None and not isinstance(buffers, CollateBuffers):
-            ring = buffers
-            if not ring:
-                raise CorpusError("buffer ring must not be empty")
         order = np.arange(len(self.encoded))
         if rng is not None:
             rng.shuffle(order)
-        for index, start in enumerate(range(0, len(order), batch_size)):
+        for start in range(0, len(order), batch_size):
             chunk = [self.encoded[int(i)] for i in order[start : start + batch_size]]
-            arena = ring[index % len(ring)] if ring is not None else buffers
-            yield self.collate(chunk, buffers=arena)
+            yield self.collate(chunk, buffers=buffers)
 
     # ------------------------------------------------------------------
     def evaluable_mention_count(self) -> int:

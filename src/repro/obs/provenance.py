@@ -42,6 +42,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Iterable, Iterator
 
+from repro.errors import SerializationError
+
 DEFAULT_CAPACITY = 4096
 
 #: Fields that carry numpy arrays in the decision paths; normalized to
@@ -294,11 +296,16 @@ def export_jsonl(path: str) -> int:
 # Query side: `repro explain`, /provenance, report drill-down.
 def load_jsonl(path: str) -> list[DecisionRecord]:
     records: list[DecisionRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(DecisionRecord.from_dict(json.loads(line)))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if line:
+                    records.append(DecisionRecord.from_dict(json.loads(line)))
+    except (OSError, json.JSONDecodeError) as error:
+        raise SerializationError(
+            f"cannot read decision records {path}: {error}"
+        ) from error
     return records
 
 

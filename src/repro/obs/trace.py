@@ -3,11 +3,11 @@
 A :class:`SpanTracer` records a forest of :class:`Span` trees; spans
 opened while another span is active become its children, so the export
 mirrors the call structure (epoch → step → forward → Phrase2Ent/…).
-Nesting is tracked per thread (a background prefetch producer opening
-spans does not corrupt the main thread's stack), and every span records
-the real ``os.getpid()`` / ``threading.get_ident()`` it was opened on,
-so traces merged across pool workers render one row per process/thread
-instead of interleaving on a shared lane.
+Nesting is tracked per thread (a background thread opening spans does
+not corrupt the main thread's stack), and every span records the real
+``os.getpid()`` / ``threading.get_ident()`` it was opened on, so traces
+merged across pool workers render one row per process/thread instead
+of interleaving on a shared lane.
 
 Two export formats:
 

@@ -1,8 +1,8 @@
-"""Parallel execution layer: worker pools, shared payloads, prefetching.
+"""Parallel execution layer: worker pools over shared payloads.
 
 This package is the repo's one blessed path to process-level
 parallelism (lint rule RA613 flags ``multiprocessing`` uses anywhere
-else). Three pillars:
+else). Two pillars:
 
 - :mod:`repro.parallel.shm` — pack frozen model parameters and the
   static entity-payload cache into one shared-memory block so N workers
@@ -10,9 +10,7 @@ else). Three pillars:
 - :mod:`repro.parallel.pool` — a persistent :class:`AnnotatorPool` of
   worker processes that runs an annotator's batch plan
   (``annotate_batch``, ``predict_sentences``) with ordered reassembly,
-  crash-respawn-retry, and a transparent serial fallback;
-- :mod:`repro.parallel.prefetch` — a bounded-queue background producer
-  overlapping batch collation with the optimizer step.
+  crash-respawn-retry, and a transparent serial fallback.
 
 See ``docs/PARALLEL.md`` for architecture, determinism contract, and
 the fork-vs-spawn caveats.
@@ -24,7 +22,6 @@ from repro.parallel.pool import (
     WorkerSpec,
     default_start_method,
 )
-from repro.parallel.prefetch import PrefetchIterator, prefetch_batches
 from repro.parallel.shm import (
     AttachedArrays,
     SharedArrayStore,
@@ -37,12 +34,10 @@ __all__ = [
     "AnnotatorPool",
     "AttachedArrays",
     "ParallelError",
-    "PrefetchIterator",
     "SharedArrayStore",
     "ShmEntry",
     "ShmManifest",
     "WorkerSpec",
     "default_start_method",
-    "prefetch_batches",
     "shared_memory_available",
 ]

@@ -213,6 +213,7 @@ def test_project_fixture_tree_fires_each_contract_rule():
     got = {(f.rule, Path(f.path).name) for f in findings}
     assert got == {
         ("RA610", "layer.py"),
+        ("RA610", "trainer.py"),
         ("RA611", "alpha.py"),
         ("RA612", "pool.py"),
         ("RA612", "util.py"),

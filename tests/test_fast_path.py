@@ -312,6 +312,26 @@ class TestCollateBuffers:
         c = buffers.take("x", (2, 8), np.float64, fill=0.0)
         assert b is not c
 
+    def test_batches_with_one_arena_match_fresh_batches(self, dataset):
+        # A recycled arena is overwritten by the next batch, so each
+        # batch is compared while it is current.
+        fresh = list(dataset.batches(4, np.random.default_rng(5)))
+        reused = dataset.batches(
+            4, np.random.default_rng(5), buffers=CollateBuffers()
+        )
+        seen = 0
+        for want, got in zip(fresh, reused):
+            for name in (
+                "token_ids", "token_pad_mask", "candidate_ids",
+                "candidate_mask", "mention_mask", "gold_candidate",
+                "gold_entity_ids", "mention_spans", "is_weak", "evaluable",
+            ):
+                assert np.array_equal(getattr(want, name), getattr(got, name)), name
+            for want_adj, got_adj in zip(want.adjacencies, got.adjacencies):
+                assert np.array_equal(want_adj, got_adj)
+            seen += 1
+        assert 1 < seen == len(fresh)
+
 
 class TestBatchedAnnotator:
     @pytest.fixture(scope="class")

@@ -3,6 +3,10 @@ features, and bootstrap intervals."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,8 +236,7 @@ class TestCli:
         ]) == 0
         assert cli_main([
             "train", "--world", world_path, "--corpus", corpus_path,
-            "--epochs", "1", "--candidates", "4", "--prefetch", "1",
-            "--out", model_path,
+            "--epochs", "1", "--candidates", "4", "--out", model_path,
         ]) == 0
         assert cli_main([
             "evaluate", "--world", world_path, "--corpus", corpus_path,
@@ -366,3 +369,52 @@ class TestCli:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def cli_inputs(self, world, corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli_inputs")
+        save_world(world, root / "world.json")
+        save_corpus(corpus, root / "corpus.jsonl")
+        np.savez(root / "no_metadata.npz", weights=np.zeros(2))
+        np.save(root / "array.npy", np.zeros(2))
+        return root
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["annotate", "--world", "{root}/world.json",
+             "--model", "{root}/missing.npz", "--text", "w1"],
+            ["evaluate", "--world", "{root}/world.json",
+             "--corpus", "{root}/corpus.jsonl", "--model", "{root}/missing.npz"],
+            ["annotate", "--world", "{root}/world.json",
+             "--model", "{root}/no_metadata.npz", "--text", "w1"],
+            ["annotate", "--world", "{root}/world.json",
+             "--model", "{root}/world.json", "--text", "w1"],
+            ["annotate", "--world", "{root}/world.json",
+             "--model", "{root}/array.npy", "--text", "w1"],
+            ["explain", "{root}/missing.jsonl"],
+            ["generate-world", "--out", "{root}/w.json",
+             "--provenance-out", "{root}/p.jsonl", "--provenance-ring", "0"],
+            ["generate-world", "--out", "{root}/w.json",
+             "--serve-metrics", "0", "--sample-interval", "0"],
+        ],
+        ids=[
+            "annotate-missing-model", "evaluate-missing-model",
+            "model-without-metadata", "model-not-an-npz", "model-is-an-npy",
+            "explain-missing-records",
+            "provenance-ring-0", "sample-interval-0",
+        ],
+    )
+    def test_bad_input_is_an_error_line_not_a_traceback(self, cli_inputs, argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro",
+             *(arg.format(root=cli_inputs) for arg in argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr, result.stderr

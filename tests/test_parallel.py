@@ -1,4 +1,4 @@
-"""Tests for repro.parallel: shm payload plane, annotator pool, prefetch.
+"""Tests for repro.parallel: shm payload plane and annotator pool.
 
 The determinism tests are the heart of this module: the pool must be a
 pure throughput optimization, returning byte-identical results to the
@@ -8,7 +8,6 @@ enforce the stricter pickling contract.
 """
 
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
@@ -19,14 +18,10 @@ from repro.core import (
     BootlegAnnotator,
     BootlegConfig,
     BootlegModel,
-    TrainConfig,
-    Trainer,
 )
 from repro.corpus import (
-    CollateBuffers,
     CorpusConfig,
     EntityCounts,
-    NedDataset,
     build_vocabulary,
     detokenize,
     generate_corpus,
@@ -40,9 +35,7 @@ from repro.nn import compute_dtype
 from repro.parallel import (
     AnnotatorPool,
     AttachedArrays,
-    PrefetchIterator,
     SharedArrayStore,
-    prefetch_batches,
     shared_memory_available,
 )
 from repro.parallel.pool import _Task, _WorkerRuntime
@@ -485,137 +478,3 @@ class TestEmptyAnnotateGuard:
     def test_span_count_mismatch_still_raises(self, annotator):
         with pytest.raises(ConfigError):
             annotator.annotate_batch([], mention_spans=[[(0, 1)]])
-
-
-# ----------------------------------------------------------------------
-# Prefetching training pipeline
-# ----------------------------------------------------------------------
-class TestPrefetch:
-    def test_batches_identical_to_inline(self, world, vocab, dataset_small):
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        inline = list(dataset_small.batches(4, rng_a))
-        # Prefetched batches alias a rotating buffer ring, so each one
-        # must be compared while current rather than hoarded in a list.
-        seen = 0
-        with prefetch_batches(dataset_small, 4, rng_b, depth=2) as stream:
-            for a, b in zip(inline, stream):
-                assert np.array_equal(a.token_ids, b.token_ids)
-                assert np.array_equal(a.candidate_ids, b.candidate_ids)
-                assert np.array_equal(a.gold_candidate, b.gold_candidate)
-                for adj_a, adj_b in zip(a.adjacencies, b.adjacencies):
-                    assert np.array_equal(adj_a, adj_b)
-                seen += 1
-            assert seen == len(inline)
-            with pytest.raises(StopIteration):
-                next(stream)
-
-    def test_training_bit_identical_with_prefetch(self, world, corpus, vocab):
-        counts = EntityCounts.from_corpus(corpus, world.num_entities)
-        dataset = NedDataset(
-            corpus, "train", vocab, world.candidate_map, 4, kgs=[world.kg]
-        )
-
-        def run(prefetch):
-            model = BootlegModel(
-                BootlegConfig(num_candidates=4),
-                world.kb,
-                vocab,
-                entity_counts=counts.counts,
-            )
-            Trainer(
-                model,
-                dataset,
-                TrainConfig(
-                    epochs=1, batch_size=8, seed=5, prefetch_batches=prefetch
-                ),
-            ).train()
-            return model.state_dict()
-
-        state_inline = run(0)
-        state_prefetch = run(2)
-        assert set(state_inline) == set(state_prefetch)
-        for key in state_inline:
-            assert np.array_equal(state_inline[key], state_prefetch[key]), key
-
-    def test_producer_exception_propagates(self):
-        def failing():
-            yield 1
-            raise RuntimeError("collation exploded")
-
-        with PrefetchIterator(failing(), depth=2) as stream:
-            assert next(stream) == 1
-            with pytest.raises(RuntimeError, match="collation exploded"):
-                next(stream)
-
-    def test_early_close_joins_producer(self):
-        release = threading.Event()
-
-        def slow():
-            for i in range(100):
-                release.wait(0.01)
-                yield i
-
-        stream = PrefetchIterator(slow(), depth=1)
-        assert next(stream) == 0
-        release.set()
-        stream.close()  # must not hang on the full queue
-        assert not stream._thread.is_alive()
-
-    def test_hit_and_starve_counters(self, dataset_small):
-        with obs.scope(fresh=True) as (metrics, tracer):
-            with prefetch_batches(dataset_small, 4, depth=2) as stream:
-                batches = list(stream)
-        assert batches
-        snapshot = metrics.to_dict()["counters"]
-        hits = snapshot.get("parallel.prefetch.hit", 0)
-        starves = snapshot.get("parallel.prefetch.starve", 0)
-        # Every __next__ is classified one way or the other (the final
-        # _DONE read counts too).
-        assert hits + starves == len(batches) + 1
-
-    def test_invalid_depth_rejected(self):
-        with pytest.raises(ValueError):
-            PrefetchIterator(iter(()), depth=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(prefetch_batches=-1).validate()
-
-
-@pytest.fixture(scope="module")
-def dataset_small(world, corpus, vocab):
-    return NedDataset(
-        corpus, "train", vocab, world.candidate_map, 4, kgs=[world.kg]
-    )
-
-
-# ----------------------------------------------------------------------
-# Collate-buffer ring rotation
-# ----------------------------------------------------------------------
-class TestBufferRing:
-    def test_ring_rotates_arenas(self, dataset_small):
-        ring = [CollateBuffers(), CollateBuffers(), CollateBuffers()]
-        stream = dataset_small.batches(4, buffers=ring)
-        first = next(stream)
-        first_tokens = first.token_ids
-        snapshot = first_tokens.copy()
-        second = next(stream)
-        # Different arena: the first batch's arrays are still intact.
-        assert second.token_ids is not first_tokens
-        assert np.array_equal(first_tokens, snapshot)
-        third = next(stream)
-        fourth = next(stream)
-        # Ring of 3: batch 4 reuses batch 1's arena (same base storage
-        # when shapes match — at minimum, not a fresh allocation chain).
-        assert fourth.token_ids is not second.token_ids
-        assert fourth.token_ids is not third.token_ids
-
-    def test_empty_ring_rejected(self, dataset_small):
-        from repro.errors import CorpusError
-
-        with pytest.raises(CorpusError):
-            next(dataset_small.batches(4, buffers=[]))
-
-    def test_single_buffers_object_still_works(self, dataset_small):
-        buffers = CollateBuffers()
-        batches = list(dataset_small.batches(4, buffers=buffers))
-        assert batches
