@@ -10,12 +10,12 @@ install:
 test:
 	PYTHONPATH=src python -m pytest tests/
 
-# Repo-invariant linter + whole-program pass (import layering and
-# confinement, resource lifecycles, fork/thread safety) + runtime
-# model-graph verifier (docs/ANALYSIS.md). Strict over the package
-# (including the instantiated model zoo); both passes warn-only over
-# benchmarks/ and examples/. ruff runs when available; the container
-# image does not ship it, so its absence is not an error.
+# Repo-invariant linter + whole-program pass (import layering, cycles
+# and confinement, resource lifecycles) + runtime model-graph verifier
+# (docs/ANALYSIS.md). Strict over the package (including the
+# instantiated model zoo); both passes warn-only over benchmarks/ and
+# examples/. ruff runs when available; the container image does not
+# ship it, so its absence is not an error.
 lint:
 	PYTHONPATH=src python -m repro.cli lint src/repro --project --models
 	PYTHONPATH=src python -m repro.cli lint benchmarks examples --project --warn-only
@@ -27,8 +27,8 @@ lint:
 
 # Inner-loop lint: per-file rules over files git reports as changed
 # only (falls back to the full walk outside a work tree). The
-# whole-program pass — layering, confinement (RA613), lifecycles, fork
-# safety — is skipped: it is inherently full-tree.
+# whole-program pass — layering, confinement (RA613), lifecycles — is
+# skipped: it is inherently full-tree.
 lint-fast:
 	PYTHONPATH=src python -m repro.cli lint src/repro benchmarks examples \
 		--changed-only

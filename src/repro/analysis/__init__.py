@@ -1,13 +1,13 @@
 """repro.analysis — static invariant linter + runtime model-graph verifier.
 
-Two complementary passes over the codebase's hand-maintained
-invariants (see ``docs/ANALYSIS.md``):
+Three passes over the codebase's hand-maintained invariants (see
+``docs/ANALYSIS.md``):
 
 - :mod:`repro.analysis.linter` / :mod:`repro.analysis.rules` — AST
   rules over source files (``repro lint <paths>``).
 - :mod:`repro.analysis.project` / :mod:`repro.analysis.flow` /
   :mod:`repro.analysis.layers` — the whole-program pass: import
-  layering, resource-lifecycle dataflow, fork/thread-safety
+  layering and confinement, resource-lifecycle dataflow
   (``repro lint --project``).
 - :mod:`repro.analysis.model_lint` — instantiates registered models and
   verifies the live object graph (``repro lint --models``).
@@ -18,7 +18,6 @@ from repro.analysis.findings import (
     SEVERITY_WARNING,
     Finding,
     findings_to_json,
-    findings_to_sarif,
 )
 from repro.analysis.flow import flow_lint_source
 from repro.analysis.linter import (
@@ -49,7 +48,6 @@ __all__ = [
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
     "findings_to_json",
-    "findings_to_sarif",
     "lint_source",
     "lint_file",
     "lint_paths",

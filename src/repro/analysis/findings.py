@@ -42,11 +42,11 @@ class Finding:
 
 
 def findings_to_json(findings: list[Finding]) -> str:
-    """JSON document for ``repro lint --json`` and CI consumers.
+    """JSON document for ``repro lint --format json`` and CI consumers.
 
     The shape (``count``/``errors``/``findings`` with per-finding
     ``rule``/``path``/``line``/``message``/``severity``/``column``) is a
-    stable contract; SARIF below is the extension point for new fields.
+    stable contract.
     """
     return json.dumps(
         {
@@ -56,49 +56,3 @@ def findings_to_json(findings: list[Finding]) -> str:
         },
         indent=2,
     )
-
-
-def findings_to_sarif(findings: list[Finding]) -> str:
-    """SARIF 2.1.0 document for ``repro lint --format sarif``, the
-    format CI forges ingest to annotate PR diffs."""
-    rule_ids = sorted({f.rule for f in findings})
-    results = []
-    for finding in findings:
-        results.append(
-            {
-                "ruleId": finding.rule,
-                "level": "error" if finding.severity == SEVERITY_ERROR else "warning",
-                "message": {"text": finding.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": finding.path},
-                            "region": {
-                                "startLine": max(finding.line, 1),
-                                "startColumn": finding.column + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    document = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "docs/ANALYSIS.md",
-                        "rules": [{"id": rule_id} for rule_id in rule_ids],
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2)

@@ -1,5 +1,5 @@
-"""Intraprocedural resource-lifecycle dataflow (RA7xx) and lock
-discipline (RA802) for the whole-program pass.
+"""Intraprocedural resource-lifecycle dataflow (RA7xx) for the
+whole-program pass.
 
 The RA7xx engine pairs *acquire* sites (shared-memory segments, the
 telemetry server, the resource sampler, health-probe registrations,
@@ -802,75 +802,6 @@ def _analyze_scope(
 
 
 # ---------------------------------------------------------------------------
-# RA802: no blocking call while holding a lock
-# ---------------------------------------------------------------------------
-
-_BLOCKING_ALWAYS = frozenset({"recv", "accept"})
-_QUEUEISH_TOKENS = ("queue", "task", "result", "inbox", "outbox", "jobs")
-_THREADISH_TOKENS = ("thread", "proc", "process", "worker")
-_LOCK_TOKENS = ("lock", "cond", "sem")
-
-
-def _is_lockish(expr: ast.expr) -> bool:
-    tail = _tail_name(expr)
-    if isinstance(expr, ast.Call):
-        tail = _tail_name(expr.func)
-    return bool(tail) and any(t in tail.lower() for t in _LOCK_TOKENS)
-
-
-def _receiver_tail(call: ast.Call) -> str:
-    if isinstance(call.func, ast.Attribute):
-        return (_tail_name(call.func.value) or "").lower()
-    return ""
-
-
-def check_lock_blocking(tree: ast.AST, path: str) -> list[Finding]:
-    """RA802: flag blocking calls (`queue.get/put`, `join`, `recv`,
-    `accept`) made while a lock is held — the classic ordering deadlock
-    between a worker thread and whoever holds the lock."""
-    _link_parents(tree)
-    findings: list[Finding] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.With, ast.AsyncWith)):
-            continue
-        if not any(_is_lockish(item.context_expr) for item in node.items):
-            continue
-        for sub in _walk_shallow(node):
-            if not isinstance(sub, ast.Call) or not isinstance(
-                sub.func, ast.Attribute
-            ):
-                continue
-            method = sub.func.attr
-            receiver = _receiver_tail(sub)
-            blocking = method in _BLOCKING_ALWAYS
-            if method in ("get", "put") and (
-                any(t in receiver for t in _QUEUEISH_TOKENS) or receiver == "q"
-            ):
-                blocking = True
-            if method == "join" and any(
-                t in receiver for t in _THREADISH_TOKENS
-            ):
-                blocking = True
-            if blocking:
-                findings.append(
-                    Finding(
-                        rule="RA802",
-                        path=path,
-                        line=sub.lineno,
-                        column=sub.col_offset,
-                        message=(
-                            f"blocking call .{method}() while holding a "
-                            "lock; copy state under the lock, release it, "
-                            "then block (a worker needing the lock to make "
-                            "progress deadlocks here)"
-                        ),
-                        severity=SEVERITY_ERROR,
-                    )
-                )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # File driver
 # ---------------------------------------------------------------------------
 
@@ -904,13 +835,12 @@ def check_resource_lifecycles(tree: ast.AST, path: str) -> list[Finding]:
 
 
 def flow_lint_source(source: str, path: str) -> list[Finding]:
-    """Lifecycle + lock-discipline findings for one source blob (the
-    project pass applies suppressions on top; tests use this raw)."""
+    """Lifecycle findings for one source blob (the project pass applies
+    suppressions on top; tests use this raw)."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError:
         return []
     findings = check_resource_lifecycles(tree, path)
-    findings.extend(check_lock_blocking(tree, path))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings

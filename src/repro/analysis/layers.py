@@ -1,12 +1,10 @@
 """Declarative layering contract for the whole-program pass.
 
 This module is *data*, not analysis: it states which ``repro``
-subsystems may depend on which, which names are confined to their home
-packages, which modules legitimately own process-local mutable state,
-and where the fork boundary's entrypoints live. The
-enforcement lives in :mod:`repro.analysis.project`; editing the
-architecture means editing this file, in review, rather than silently
-growing a new edge.
+subsystems may depend on which, and which names are confined to their
+home packages. The enforcement lives in :mod:`repro.analysis.project`;
+editing the architecture means editing this file, in review, rather
+than silently growing a new edge.
 
 Contract pieces
 ---------------
@@ -21,17 +19,8 @@ Contract pieces
     A name covers everything under it (``multiprocessing`` covers
     ``multiprocessing.shared_memory``).
 
-``WORKER_STATE_OWNERS``
-    Modules whose module-level mutable state is *by design* process
-    local (documented in docs/PARALLEL.md): the obs switchboard and the
-    dtype policy. RA803 exempts them; everything else reachable from a
-    worker entrypoint must not write module globals.
-
-``WORKER_ENTRYPOINTS`` / ``PREFORK_ENTRYPOINTS``
-    Call-graph roots for the RA80x reachability rules: code reachable
-    from a worker entrypoint runs inside a forked child; code reachable
-    from a pre-fork entrypoint runs in the owner between pool creation
-    and ``Process.start()``.
+``PUBLIC_API_ALLOW``
+    Public top-level symbols RA612 never flags (entry points).
 """
 
 from __future__ import annotations
@@ -122,25 +111,6 @@ CONFINED: dict[str, tuple[str, ...]] = {
     "repro.obs.provenance.DecisionRecord": ("repro.obs",),
 }
 
-# Modules whose module-level mutable state is documented process-local
-# state (reset per worker in _worker_main); RA803 exempts them.
-WORKER_STATE_OWNERS: tuple[str, ...] = (
-    "repro.obs",
-    "repro.nn.tensor",
-)
-
-# Function names that are worker-process entrypoints (run post-fork in
-# the child). Matched against the unqualified function name.
-WORKER_ENTRYPOINTS: tuple[str, ...] = ("_worker_main",)
-
-# Qualified ``Class.method`` names that run in the owner process
-# between pool construction and Process.start() — the window where a
-# started thread would be inherited mid-state by fork.
-PREFORK_ENTRYPOINTS: tuple[str, ...] = (
-    "AnnotatorPool._build_spec",
-    "AnnotatorPool._spawn_worker",
-)
-
 # Public top-level symbols that RA612 must not flag even when no other
 # module imports them: entry points and API kept for external callers.
 PUBLIC_API_ALLOW: frozenset[str] = frozenset(
@@ -176,7 +146,3 @@ def confinement_violation(user: str, name: str) -> tuple[str, ...] | None:
     if homes is None or _under(user, homes):
         return None
     return homes
-
-
-def owns_worker_state(module: str) -> bool:
-    return _under(module, WORKER_STATE_OWNERS)

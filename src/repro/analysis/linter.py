@@ -5,9 +5,8 @@ Scoping
 Files inside the ``repro`` package are categorized by subpackage:
 the modeling rule (RA201) only applies under ``nn``/``core``/``text``/
 ``baselines``/``downstream``, the obs-guard rules skip ``repro/obs``
-(the instrumentation itself), ``nn/tensor.py`` — which *defines* the
-dtype policy — is exempt from RA201, and ``repro/cascade`` — which owns
-the confidence policy — is exempt from RA603. Files outside the package
+(the instrumentation itself), and ``nn/tensor.py`` — which *defines*
+the dtype policy — is exempt from RA201. Files outside the package
 (lint fixtures, benchmarks, examples) get every rule. Package
 confinement is not scoped here: the whole-program pass enforces it as
 RA613.
@@ -52,7 +51,6 @@ def _classify(path: Path) -> dict[str, bool]:
             "is_modeling": True,
             "is_obs_package": False,
             "defines_dtype_policy": False,
-            "is_cascade_package": False,
         }
     index = len(parts) - 1 - parts[::-1].index("repro")
     subpackage = parts[index + 1] if index + 1 < len(parts) - 1 else ""
@@ -60,7 +58,6 @@ def _classify(path: Path) -> dict[str, bool]:
         "is_modeling": subpackage in MODELING_SUBPACKAGES,
         "is_obs_package": subpackage == "obs",
         "defines_dtype_policy": subpackage == "nn" and path.name == "tensor.py",
-        "is_cascade_package": subpackage == "cascade",
     }
 
 

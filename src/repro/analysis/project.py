@@ -1,6 +1,6 @@
 """Whole-program analysis over a package tree (``repro lint --project``).
 
-Three families of findings, all anchored to real source lines so the
+Two families of findings, both anchored to real source lines so the
 same suppression comments work as for the per-file rules:
 
 - **RA61x — import layering** (contract in
@@ -12,16 +12,11 @@ same suppression comments work as for the per-file rules:
 - **RA7xx — resource lifecycles** (engine in
   :mod:`repro.analysis.flow`): acquires whose release is unreachable
   on an exception edge.
-- **RA80x — fork/thread safety**: RA801 thread/server/sampler
-  construction reachable on the owner's pre-fork paths, RA802 blocking
-  calls under a held lock, RA803 module-global writes reachable from a
-  forked worker's entrypoint.
 
-The call graph is intentionally modest: module-alias-aware name
-resolution plus one level of local type inference
-(``runtime = _WorkerRuntime(spec)`` resolves ``runtime.annotate()``).
-That is enough to walk the real worker/owner paths in
-``repro.parallel.pool`` without a type checker.
+The import contract judges relationships a single file cannot show,
+so the pass parses the whole package tree once and resolves names
+through each module's imports. The lifecycle engine runs over each
+parsed module in the same pass.
 """
 
 from __future__ import annotations
@@ -32,44 +27,8 @@ from pathlib import Path
 
 from repro.analysis import layers
 from repro.analysis.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
-from repro.analysis.flow import (
-    _is_def,
-    _tail_name,
-    _walk_shallow,
-    check_lock_blocking,
-    check_resource_lifecycles,
-)
+from repro.analysis.flow import _tail_name, check_resource_lifecycles
 from repro.analysis.linter import unsuppressed
-
-# Classes whose construction means "a thread now exists (or will on
-# .start())" for RA801.
-_THREADY_CLASSES = frozenset(
-    {
-        "Thread",
-        "Timer",
-        "TelemetryServer",
-        "ResourceSampler",
-        "ThreadingHTTPServer",
-        "HTTPServer",
-        "ThreadPoolExecutor",
-    }
-)
-
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-    }
-)
 
 PROJECT_RULES: tuple[tuple[str, str, str], ...] = (
     ("RA610", "layer-violation", "imports must respect the layering contract in analysis/layers.py"),
@@ -82,9 +41,6 @@ PROJECT_RULES: tuple[tuple[str, str, str], ...] = (
     ("RA704", "health-lifecycle", "HealthRegistry.register needs a paired unregister"),
     ("RA705", "memmap-lifecycle", "memmap windows need an owner with close/detach"),
     ("RA706", "file-lifecycle", "bare open() must be with-managed or owned by a closeable object"),
-    ("RA801", "prefork-thread", "no thread/server/sampler construction on owner pre-fork paths"),
-    ("RA802", "lock-blocking", "no blocking call (queue.get/put, join, recv, accept) while holding a lock"),
-    ("RA803", "worker-global-write", "worker-reachable code must not write module-level globals"),
 )
 
 
@@ -106,14 +62,10 @@ class ModuleInfo:
     tree: ast.Module
     imports: list[ImportRecord] = dataclasses.field(default_factory=list)
     # alias -> module it names (``import repro.obs as obs``, ``from repro
-    # import obs``); used for call/attr resolution.
+    # import obs``); used for attribute-chain resolution (RA613).
     module_aliases: dict[str, str] = dataclasses.field(default_factory=dict)
     # name -> (module, symbol) for ``from X import name``.
     from_symbols: dict[str, tuple[str, str]] = dataclasses.field(default_factory=dict)
-    # module-level names (assignment targets, defs, classes).
-    global_names: set[str] = dataclasses.field(default_factory=set)
-    # module-level instance types: name -> class name.
-    instance_types: dict[str, str] = dataclasses.field(default_factory=dict)
 
 
 def _module_name(path: Path, root: Path, package: str) -> str:
@@ -138,13 +90,6 @@ class Project:
         self.module_names = set(self.modules)
         for info in self.modules.values():
             self._collect_imports(info)
-            self._collect_globals(info)
-        # Definition indices for the call graph.
-        self.functions: dict[str, ast.AST] = {}
-        self.classes: dict[str, ast.ClassDef] = {}
-        self.class_index: dict[str, list[str]] = {}
-        for info in self.modules.values():
-            self._collect_defs(info)
 
     # -- loading -----------------------------------------------------------
 
@@ -247,51 +192,6 @@ class Project:
                         info.module_aliases[bound] = target
                     else:
                         info.from_symbols[bound] = (target, alias.name)
-
-    def _collect_globals(self, info: ModuleInfo) -> None:
-        for stmt in info.tree.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        info.global_names.add(target.id)
-                        cls = _ctor_name(stmt.value)
-                        if cls:
-                            info.instance_types[target.id] = cls
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                info.global_names.add(stmt.target.id)
-                if stmt.value is not None:
-                    cls = _ctor_name(stmt.value)
-                    if cls:
-                        info.instance_types[stmt.target.id] = cls
-            elif _is_def(stmt):
-                info.global_names.add(stmt.name)
-
-    def _collect_defs(self, info: ModuleInfo) -> None:
-        for stmt in info.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions[f"{info.name}:{stmt.name}"] = stmt
-            elif isinstance(stmt, ast.ClassDef):
-                self.classes[f"{info.name}:{stmt.name}"] = stmt
-                self.class_index.setdefault(stmt.name, []).append(info.name)
-                for member in stmt.body:
-                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        self.functions[
-                            f"{info.name}:{stmt.name}.{member.name}"
-                        ] = member
-
-
-def _ctor_name(value: ast.expr) -> str | None:
-    if isinstance(value, ast.Call):
-        if (
-            isinstance(value.func, ast.Attribute)
-            and value.func.attr == "start"
-            and isinstance(value.func.value, ast.Call)
-        ):
-            return _tail_name(value.func.value.func)
-        return _tail_name(value.func)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -576,233 +476,6 @@ def check_dead_symbols(
 
 
 # ---------------------------------------------------------------------------
-# Call graph + worker/pre-fork reachability (RA801, RA803)
-# ---------------------------------------------------------------------------
-
-
-def _function_local_types(project: Project, info: ModuleInfo, fn: ast.AST) -> dict[str, str]:
-    env: dict[str, str] = {}
-    for node in _walk_shallow(fn):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            cls = _ctor_name(node.value)
-            if cls and (
-                cls in project.class_index
-                or cls in info.from_symbols
-                or f"{info.name}:{cls}" in project.classes
-            ):
-                env[target.id] = cls
-    return env
-
-
-def _resolve_class_module(project: Project, info: ModuleInfo, cls: str) -> str | None:
-    if f"{info.name}:{cls}" in project.classes:
-        return info.name
-    if cls in info.from_symbols:
-        module, symbol = info.from_symbols[cls]
-        if f"{module}:{symbol}" in project.classes:
-            return module
-    homes = project.class_index.get(cls, [])
-    if len(homes) == 1:
-        return homes[0]
-    return None
-
-
-def _call_targets(
-    project: Project, info: ModuleInfo, fn: ast.AST, cls_name: str | None
-) -> set[str]:
-    targets: set[str] = set()
-    env = _function_local_types(project, info, fn)
-
-    def add_class_init(module: str, cls: str) -> None:
-        init = f"{module}:{cls}.__init__"
-        if init in project.functions:
-            targets.add(init)
-
-    for node in _walk_shallow(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            if f"{info.name}:{name}" in project.functions:
-                targets.add(f"{info.name}:{name}")
-            elif f"{info.name}:{name}" in project.classes:
-                add_class_init(info.name, name)
-            elif name in info.from_symbols:
-                module, symbol = info.from_symbols[name]
-                if f"{module}:{symbol}" in project.functions:
-                    targets.add(f"{module}:{symbol}")
-                elif f"{module}:{symbol}" in project.classes:
-                    add_class_init(module, symbol)
-            elif name in ("cls",) and cls_name:
-                add_class_init(info.name, cls_name)
-        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base, attr = func.value.id, func.attr
-            if base == "self" and cls_name:
-                key = f"{info.name}:{cls_name}.{attr}"
-                if key in project.functions:
-                    targets.add(key)
-                continue
-            if base == "cls" and cls_name:
-                key = f"{info.name}:{cls_name}.{attr}"
-                if key in project.functions:
-                    targets.add(key)
-                continue
-            module = info.module_aliases.get(base)
-            if module and project._is_internal(module):
-                if f"{module}:{attr}" in project.functions:
-                    targets.add(f"{module}:{attr}")
-                elif f"{module}:{attr}" in project.classes:
-                    add_class_init(module, attr)
-                continue
-            receiver_cls = env.get(base) or info.instance_types.get(base)
-            if receiver_cls:
-                home = _resolve_class_module(project, info, receiver_cls)
-                if home:
-                    key = f"{home}:{receiver_cls}.{attr}"
-                    if key in project.functions:
-                        targets.add(key)
-    return targets
-
-
-def _build_call_graph(project: Project) -> dict[str, set[str]]:
-    graph: dict[str, set[str]] = {}
-    for key, fn in project.functions.items():
-        module_name, qual = key.split(":", 1)
-        info = project.modules[module_name]
-        cls_name = qual.split(".")[0] if "." in qual else None
-        graph[key] = _call_targets(project, info, fn, cls_name)
-    return graph
-
-
-def _reachable(graph: dict[str, set[str]], roots: set[str]) -> set[str]:
-    seen = set(roots)
-    frontier = list(roots)
-    while frontier:
-        node = frontier.pop()
-        for child in graph.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen
-
-
-def _worker_roots(project: Project) -> set[str]:
-    roots = set()
-    for key in project.functions:
-        qual = key.split(":", 1)[1]
-        name = qual.split(".")[-1]
-        if name in layers.WORKER_ENTRYPOINTS and "." not in qual:
-            roots.add(key)
-    return roots
-
-
-def _prefork_roots(project: Project) -> set[str]:
-    roots = set()
-    for key in project.functions:
-        qual = key.split(":", 1)[1]
-        if qual in layers.PREFORK_ENTRYPOINTS:
-            roots.add(key)
-    return roots
-
-
-def check_fork_safety(project: Project) -> list[Finding]:
-    findings: list[Finding] = []
-    graph = _build_call_graph(project)
-    worker_set = _reachable(graph, _worker_roots(project))
-    prefork_set = _reachable(graph, _prefork_roots(project))
-
-    # RA801: thread/server/sampler construction in the pre-fork window.
-    for key in sorted(prefork_set):
-        module_name, qual = key.split(":", 1)
-        info = project.modules[module_name]
-        fn = project.functions[key]
-        for node in _walk_shallow(fn):
-            if isinstance(node, ast.Call):
-                ctor = _tail_name(node.func)
-                if ctor in _THREADY_CLASSES:
-                    findings.append(
-                        Finding(
-                            rule="RA801",
-                            path=str(info.path),
-                            line=node.lineno,
-                            column=node.col_offset,
-                            message=(
-                                f"{ctor} constructed in {qual}(), which is "
-                                "reachable on the owner's pre-fork path: a "
-                                "thread started here is inherited mid-state "
-                                "by fork(); construct it after spawning (or "
-                                "add a justified suppression)"
-                            ),
-                        )
-                    )
-
-    # RA803: module-global writes reachable from the worker entrypoint.
-    for key in sorted(worker_set):
-        module_name, qual = key.split(":", 1)
-        if layers.owns_worker_state(module_name):
-            continue
-        info = project.modules[module_name]
-        fn = project.functions[key]
-        local_stores: set[str] = set()
-        for node in _walk_shallow(fn):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                local_stores.add(node.id)
-        declared_global: set[str] = set()
-        for node in _walk_shallow(fn):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-
-        def flag(node: ast.AST, name: str, how: str) -> None:
-            findings.append(
-                Finding(
-                    rule="RA803",
-                    path=str(info.path),
-                    line=node.lineno,
-                    column=node.col_offset,
-                    message=(
-                        f"{how} module-level {name!r} in {qual}(), which is "
-                        "reachable from a worker entrypoint: each forked "
-                        "worker mutates its own copy and the owner never "
-                        "sees it (pass state explicitly or register the "
-                        "module in layers.WORKER_STATE_OWNERS)"
-                    ),
-                )
-            )
-
-        for node in _walk_shallow(fn):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name) and target.id in declared_global:
-                        flag(node, target.id, "write to")
-                    elif isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        base = target.value.id
-                        if (
-                            base in info.global_names
-                            and base not in local_stores
-                        ):
-                            flag(node, base, "item-write to")
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in _MUTATING_METHODS and isinstance(
-                    node.func.value, ast.Name
-                ):
-                    base = node.func.value.id
-                    if base in info.global_names and base not in local_stores:
-                        flag(node, base, f".{node.func.attr}() on")
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
 
@@ -846,7 +519,5 @@ def analyze_project(
     )
     for info in project.modules.values():
         findings.extend(check_resource_lifecycles(info.tree, str(info.path)))
-        findings.extend(check_lock_blocking(info.tree, str(info.path)))
-    findings.extend(check_fork_safety(project))
     sources = {str(info.path): info.source for info in project.modules.values()}
     return unsuppressed(findings, sources)

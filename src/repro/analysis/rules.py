@@ -55,15 +55,6 @@ only held by code review into machine-checked invariants:
     ``load_state_dict`` and ``to_dtype`` and invalidate the cache in
     each — every parameter mutation must drop derived state.
 
-``RA603`` cascade-threshold
-    Confidence-threshold literals for the tiered cascade (``margin``,
-    ``prior_mass``, ``cascade_margin``, ``cascade_prior_mass``) may only
-    appear inside ``repro.cascade`` — the policy lives in
-    ``CascadePolicy`` and travels as a value. A numeric literal bound to
-    one of those names anywhere else forks the abstention behaviour
-    from the blessed policy. Only exact names are matched, so unrelated
-    knobs like the mention detector's ``min_prior_mass`` are untouched.
-
 Which package may use ``multiprocessing``, memory mapping or
 ``DecisionRecord`` is not a per-file rule: the whole-program pass
 enforces it as RA613 over ``repro.analysis.layers.CONFINED``. Parameter
@@ -139,8 +130,6 @@ class FileContext:
     is_obs_package: bool = False
     # nn/tensor.py defines the dtype policy itself.
     defines_dtype_policy: bool = False
-    # repro.cascade owns the confidence/abstention policy literals.
-    is_cascade_package: bool = False
 
     def __post_init__(self) -> None:
         for node in ast.walk(self.tree):
@@ -573,104 +562,6 @@ def check_cache_invalidation(ctx: FileContext) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RA603 — cascade confidence thresholds only inside repro.cascade
-# ----------------------------------------------------------------------
-# Exact names only: loose matching would flag unrelated knobs that
-# merely sound similar (e.g. MentionDetector's min_prior_mass).
-_CASCADE_THRESHOLD_NAMES = frozenset(
-    {"margin", "prior_mass", "cascade_margin", "cascade_prior_mass"}
-)
-
-
-def _is_numeric_literal(node: ast.AST) -> bool:
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, (int, float)) and not isinstance(
-            node.value, bool
-        )
-    if isinstance(node, ast.UnaryOp) and isinstance(
-        node.op, (ast.UAdd, ast.USub)
-    ):
-        return _is_numeric_literal(node.operand)
-    return False
-
-
-def _threshold_target_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def check_cascade_thresholds(ctx: FileContext) -> list[Finding]:
-    """RA603 cascade-threshold."""
-    if ctx.is_cascade_package:
-        return []
-
-    def finding(node: ast.AST, name: str, how: str) -> Finding:
-        return ctx.finding(
-            "RA603",
-            node,
-            f"numeric literal {how} {name!r} outside repro.cascade; "
-            "cascade confidence thresholds live in CascadePolicy and "
-            "must travel as policy values, not scattered literals",
-        )
-
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Call):
-            for keyword in node.keywords:
-                if (
-                    keyword.arg in _CASCADE_THRESHOLD_NAMES
-                    and _is_numeric_literal(keyword.value)
-                ):
-                    findings.append(
-                        finding(keyword.value, keyword.arg, "passed as keyword")
-                    )
-        elif isinstance(node, ast.Assign):
-            if _is_numeric_literal(node.value):
-                for target in node.targets:
-                    name = _threshold_target_name(target)
-                    if name in _CASCADE_THRESHOLD_NAMES:
-                        findings.append(finding(node, name, "assigned to"))
-        elif isinstance(node, ast.AnnAssign):
-            name = _threshold_target_name(node.target)
-            if (
-                name in _CASCADE_THRESHOLD_NAMES
-                and node.value is not None
-                and _is_numeric_literal(node.value)
-            ):
-                findings.append(finding(node, name, "assigned to"))
-        elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            names = [_threshold_target_name(op) for op in operands]
-            for name, operand in zip(names, operands):
-                if name in _CASCADE_THRESHOLD_NAMES:
-                    others = [op for op in operands if op is not operand]
-                    if any(_is_numeric_literal(op) for op in others):
-                        findings.append(finding(node, name, "compared against"))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            arguments = node.args
-            positional = arguments.posonlyargs + arguments.args
-            pos_defaults = arguments.defaults
-            for arg, default in zip(
-                positional[len(positional) - len(pos_defaults):], pos_defaults
-            ):
-                if arg.arg in _CASCADE_THRESHOLD_NAMES and _is_numeric_literal(
-                    default
-                ):
-                    findings.append(finding(default, arg.arg, "defaulting"))
-            for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
-                if (
-                    default is not None
-                    and arg.arg in _CASCADE_THRESHOLD_NAMES
-                    and _is_numeric_literal(default)
-                ):
-                    findings.append(finding(default, arg.arg, "defaulting"))
-    return findings
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
@@ -711,12 +602,6 @@ RULES: tuple[Rule, ...] = (
         "cache-invalidation",
         "cache-bearing modules must invalidate in train/load_state_dict/to_dtype",
         check_cache_invalidation,
-    ),
-    Rule(
-        "RA603",
-        "cascade-threshold",
-        "cascade confidence-threshold literals live only in repro.cascade",
-        check_cascade_thresholds,
     ),
 )
 

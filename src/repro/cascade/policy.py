@@ -1,10 +1,11 @@
 """Confidence/abstention policy for the tiered inference cascade.
 
 This module is the **one** place in the tree where confidence-threshold
-literals live (enforced by lint rule RA603): every margin / prior-mass
-number the cascade compares against is a field default here, and every
-caller — annotator, pool, CLI, benches — receives a
-:class:`CascadePolicy` instance instead of re-hardcoding thresholds.
+defaults live: every margin / prior-mass number the cascade compares
+against is a field default here. Thresholds reach tier 0 only as a
+validated :class:`CascadePolicy` — the annotator, :class:`Tier0Linker`
+and the pool accept nothing else, and the CLI reads its flag defaults
+from ``CascadePolicy()`` — so no caller can re-hardcode them.
 
 Semantics (see docs/CASCADE.md):
 

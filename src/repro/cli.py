@@ -56,9 +56,10 @@ def _vocab_content_tokens(vocab: Vocabulary) -> list[str]:
     return [vocab.decode_id(i) for i in range(len(SPECIAL_TOKENS), len(vocab))]
 
 
-def _positive(kind: type):
-    """argparse ``type=`` for an int or float flag that must be > 0, so a
-    bad value is a usage error rather than a traceback mid-setup."""
+def _positive(kind: type, below: float | None = None):
+    """argparse ``type=`` for an int or float flag that must be > 0 (and
+    < ``below`` when given), so a bad value is a usage error rather than
+    a traceback or a silently wrong result."""
 
     def parse(text: str):
         try:
@@ -67,8 +68,9 @@ def _positive(kind: type):
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}"
             ) from None
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if not (value > 0 and (below is None or value < below)):
+            bound = "> 0" if below is None else f"in (0, {below:g})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
 
     return parse
@@ -278,21 +280,29 @@ def _pool_interval(args: argparse.Namespace) -> float | None:
     return None
 
 
+def _records_telemetry(args: argparse.Namespace) -> bool:
+    """Whether the command's flags turn ``repro.obs`` recording on.
+
+    Run reports and the live plane bundle or serve the metrics
+    snapshot, so they record even without ``--metrics-out``. One
+    predicate for setup and export, so whatever turns recording on
+    also turns it off again.
+    """
+    return bool(
+        args.metrics_out or args.trace_out
+        or getattr(args, "report_out", None)
+        or getattr(args, "report_html", None)
+        or args.serve_metrics is not None or args.flight_dir
+        or args.provenance_out
+    )
+
+
 def _setup_telemetry(args: argparse.Namespace) -> None:
     if args.log_level is not None or args.json_logs:
         level = parse_level(args.log_level or "info")
         enable_console_logging(level, json_logs=args.json_logs)
-    wants_report = getattr(args, "report_out", None) or getattr(
-        args, "report_html", None
-    )
     serving = args.serve_metrics is not None
-    if (
-        args.metrics_out or args.trace_out or wants_report
-        or serving or args.flight_dir or args.provenance_out
-    ):
-        # Run reports and the live plane bundle/serve the metrics
-        # snapshot, so requesting either turns recording on even
-        # without --metrics-out.
+    if _records_telemetry(args):
         obs.reset()
         obs.enable()
     if args.provenance_out:
@@ -371,11 +381,7 @@ def _export_telemetry(args: argparse.Namespace) -> None:
             file=sys.stderr,
         )
         provenance.reset()
-    if (
-        args.metrics_out or args.trace_out
-        or args.serve_metrics is not None or args.flight_dir
-        or getattr(args, "provenance_out", None)
-    ):
+    if _records_telemetry(args):
         obs.disable()
 
 
@@ -659,7 +665,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         SEVERITY_WARNING,
         analyze_project,
         findings_to_json,
-        findings_to_sarif,
         has_errors,
         lint_paths,
         verify_registered_models,
@@ -691,11 +696,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         findings = [
             dataclasses.replace(f, severity=SEVERITY_WARNING) for f in findings
         ]
-    output_format = "json" if args.json else args.format
-    if output_format == "json":
+    if args.format == "json":
         print(findings_to_json(findings))
-    elif output_format == "sarif":
-        print(findings_to_sarif(findings))
     else:
         for finding in findings:
             print(finding.format())
@@ -920,24 +922,22 @@ def build_parser() -> argparse.ArgumentParser:
     annotate_parser.add_argument("--text", required=True)
     annotate_parser.set_defaults(func=cmd_annotate)
 
+    # No prefix matching: `--json` would otherwise quietly mean
+    # `--json-logs` and print text findings.
     lint_parser = sub.add_parser(
         "lint",
         help="run the invariant linter (and optionally the model verifier)",
         parents=[telemetry],
+        allow_abbrev=False,
     )
     lint_parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
     )
     lint_parser.add_argument(
-        "--json", action="store_true",
-        help="emit findings as a JSON document on stdout "
-             "(byte-stable alias for --format json)",
-    )
-    lint_parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (sarif emits a SARIF 2.1.0 log for code "
-             "scanning UIs; default: text)",
+        "--format", choices=("text", "json"), default="text",
+        help="output format: text lines, or one JSON document on stdout "
+             "(default: text)",
     )
     lint_parser.add_argument(
         "--warn-only", action="store_true",
@@ -947,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--project", action="store_true",
         help="also run the whole-program pass over each directory "
              "argument: import layering, cycles, dead public symbols, "
-             "resource lifecycles, fork/thread safety (RA6xx/RA7xx/RA8xx)",
+             "confined names, resource lifecycles (RA6xx/RA7xx)",
     )
     lint_parser.add_argument(
         "--changed-only", action="store_true",
@@ -1011,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
              "text rendering",
     )
     explain_parser.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_positive(int), default=None, metavar="N",
         help="print at most N matching records",
     )
     explain_parser.add_argument(
@@ -1049,11 +1049,11 @@ def build_parser() -> argparse.ArgumentParser:
              "significance (the CI gate)",
     )
     diff_parser.add_argument(
-        "--samples", type=int, default=1000,
+        "--samples", type=_positive(int), default=1000,
         help="paired-bootstrap resamples (default 1000)",
     )
     diff_parser.add_argument(
-        "--alpha", type=float, default=0.05,
+        "--alpha", type=_positive(float, below=1.0), default=0.05,
         help="significance level for the bootstrap interval (default 0.05)",
     )
     report_parser.set_defaults(func=cmd_report)

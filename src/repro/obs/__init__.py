@@ -37,6 +37,8 @@ explain`` subcommand queries the resulting JSONL audit trail.
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager, nullcontext
 
 from repro.obs.metrics import (
@@ -108,6 +110,24 @@ metrics = MetricsRegistry()
 tracer = SpanTracer()
 
 _NULL_CONTEXT = nullcontext()
+
+
+def _unheld_locks_in_child() -> None:
+    """Give a forked child fresh instrument locks.
+
+    ``fork()`` copies only the forking thread. A lock another owner
+    thread held at that moment (the ``--serve-metrics`` server during a
+    scrape, the sampler creating a per-pid gauge) would stay held in
+    the child forever, and a pool worker's ``obs.reset()`` or first
+    root span would wait on it. The maps the locks guard are consistent
+    in the child: the forking thread held the GIL.
+    """
+    metrics._lock = threading.Lock()
+    tracer._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_unheld_locks_in_child)
 
 
 def enable() -> None:

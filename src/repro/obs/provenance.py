@@ -76,7 +76,7 @@ class DecisionRecord:
     model_scores: list[float] = dataclasses.field(default_factory=list)
     predicted_entity_id: int = -1
     gold_entity_id: int | None = None
-    margin: float = 0.0  # repro-lint: disable=RA603 — an observed value, not a threshold
+    margin: float = 0.0
     confidence: float = 0.0
     type_veto: bool = False
     slices: list[str] = dataclasses.field(default_factory=list)

@@ -1,4 +1,4 @@
-"""Fixture package tree for the whole-program pass (RA61x/RA80x).
+"""Fixture package tree for the whole-program pass (RA61x).
 
 Each module below violates one project rule, except the home packages
 ``parallel/shm.py``, ``store/`` and ``obs/``, which use the confined

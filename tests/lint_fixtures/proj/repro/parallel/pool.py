@@ -1,29 +1,6 @@
-"""RA801/RA803 fixtures: pre-fork thread start, worker global write."""
-
-import threading
-
-_SEEN = None
+"""RA612 fixture: a public class that no module imports."""
 
 
 class AnnotatorPool:
-    def _build_spec(self):
-        return _start_heartbeat()
-
     def _spawn_worker(self):
         return None
-
-
-def _start_heartbeat():
-    thread = threading.Thread(target=_beat)
-    thread.start()
-    return thread
-
-
-def _beat():
-    return None
-
-
-def _worker_main(spec):
-    global _SEEN
-    _SEEN = spec
-    return spec

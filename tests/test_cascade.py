@@ -173,6 +173,18 @@ class TestTier0Decisions:
         with pytest.raises(ConfigError):
             Tier0Linker(CandidateMap(), CascadePolicy(margin=2.0))
 
+    def test_cascade_flag_defaults_come_from_the_policy(self):
+        # Thresholds reach tier 0 only as a CascadePolicy; the CLI's
+        # flags must not carry literals of their own.
+        from repro.cli import _cascade_policy, build_parser
+
+        required = {"annotate": ["--text", "t"], "evaluate": ["--corpus", "c"]}
+        for command, extra in required.items():
+            args = build_parser().parse_args(
+                [command, "--world", "w", "--model", "m", *extra, "--cascade"]
+            )
+            assert _cascade_policy(args) == CascadePolicy()
+
 
 # ----------------------------------------------------------------------
 # predict_sentences (the evaluate path) over a split

@@ -16,6 +16,7 @@ from repro.core import (
     BootlegModel,
     TrainConfig,
     Trainer,
+    compressed_embeddings,
     predict,
 )
 from repro.corpus import (
@@ -82,6 +83,15 @@ class TestFullPipeline:
         # With >= 2 candidates everywhere, random is <= 50; the trained
         # model should be clearly above it on the tail.
         assert buckets["tail"] > 50
+
+    def test_compression_to_five_percent_stays_near_flat(self, pipeline):
+        # Figure 3's shape: keeping only the top 5% of entity rows costs
+        # little F1, because the type and KG signals carry the tail.
+        model, val, counts = pipeline["model"], pipeline["val"], pipeline["counts"]
+        full = f1_by_bucket(predict(model, val), counts)["all"]
+        with compressed_embeddings(model, counts.counts, 5):
+            compressed = f1_by_bucket(predict(model, val), counts)["all"]
+        assert compressed >= full - 5, (full, compressed)
 
     def test_training_improves_over_untrained(self, pipeline):
         untrained = BootlegModel(

@@ -33,6 +33,8 @@ from repro.kb import (
     save_world,
 )
 from repro.obs.metrics import parse_metric_key
+from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.report import RunReport
 from repro.parallel import shared_memory_available
 from repro.weaklabel import weak_label_corpus
 
@@ -377,6 +379,24 @@ class TestCli:
         save_corpus(corpus, root / "corpus.jsonl")
         np.savez(root / "no_metadata.npz", weights=np.zeros(2))
         np.save(root / "array.npy", np.zeros(2))
+        recorder = ProvenanceRecorder()
+        for sentence_id in range(3):
+            recorder.record(sentence_id, 0, surface="m", tier="model")
+        recorder.export_jsonl(str(root / "records.jsonl"))
+        for name, correct in (("old", [True] * 8), ("new", [True, False] * 4)):
+            predictions = [
+                MentionPrediction(
+                    sentence_id=i, mention_index=0, surface="m",
+                    gold_entity_id=1, predicted_entity_id=1 if ok else 2,
+                    candidate_ids=np.array([1, 2]),
+                    candidate_scores=np.array([0.6, 0.4]),
+                    evaluable=True, is_weak=False,
+                )
+                for i, ok in enumerate(correct)
+            ]
+            RunReport.build(name, records=predictions, num_samples=50).save(
+                root / f"{name}.json"
+            )
         return root
 
     @pytest.mark.parametrize(
@@ -397,12 +417,20 @@ class TestCli:
              "--provenance-out", "{root}/p.jsonl", "--provenance-ring", "0"],
             ["generate-world", "--out", "{root}/w.json",
              "--serve-metrics", "0", "--sample-interval", "0"],
+            ["explain", "{root}/records.jsonl", "--limit", "-1"],
+            ["explain", "{root}/records.jsonl", "--limit", "0"],
+            ["report", "diff", "{root}/old.json", "{root}/new.json",
+             "--samples", "0"],
+            ["report", "diff", "{root}/old.json", "{root}/new.json",
+             "--alpha", "2"],
         ],
         ids=[
             "annotate-missing-model", "evaluate-missing-model",
             "model-without-metadata", "model-not-an-npz", "model-is-an-npy",
             "explain-missing-records",
             "provenance-ring-0", "sample-interval-0",
+            "explain-limit-negative", "explain-limit-0",
+            "diff-samples-0", "diff-alpha-2",
         ],
     )
     def test_bad_input_is_an_error_line_not_a_traceback(self, cli_inputs, argv):

@@ -8,6 +8,12 @@ enforce the stricter pickling contract.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +484,82 @@ class TestEmptyAnnotateGuard:
     def test_span_count_mismatch_still_raises(self, annotator):
         with pytest.raises(ConfigError):
             annotator.annotate_batch([], mention_spans=[[(0, 1)]])
+
+
+# ----------------------------------------------------------------------
+# An obs lock held by another owner thread at fork() (regression)
+# ----------------------------------------------------------------------
+# Run in a child interpreter: on failure the pool's workers wait on the
+# inherited lock forever, so the test kills the child's whole session.
+_FORK_LOCK_SCRIPT = """
+import sys, threading
+import repro.obs as obs
+from repro.core import BootlegAnnotator, BootlegConfig, BootlegModel
+from repro.corpus import CorpusConfig, build_vocabulary, detokenize, generate_corpus
+from repro.kb import WorldConfig, generate_world
+from repro.parallel import AnnotatorPool, pool as pool_module
+
+instrument = sys.argv[1]
+pool_module._STARTUP_TIMEOUT = 20.0
+world = generate_world(WorldConfig(num_entities=60, seed=3))
+corpus = generate_corpus(world, CorpusConfig(num_pages=12, seed=3))
+vocab = build_vocabulary(corpus)
+model = BootlegModel(BootlegConfig(num_candidates=4, dropout=0.0), world.kb, vocab)
+model.eval()
+annotator = BootlegAnnotator(
+    model, vocab, world.candidate_map, world.kb, kgs=[world.kg],
+    num_candidates=4, batch_size=4,
+)
+texts = [detokenize(list(s.tokens)) for s in corpus.sentences("test")[:16]]
+# Builds the payload cache too, so the pool opens no span of its own.
+serial = annotator.annotate_batch(texts)
+if instrument == "tracer":
+    obs.enable()  # workers open a root span per task only when observing
+lock = getattr(obs, instrument)._lock
+held, release = threading.Event(), threading.Event()
+
+def hold():
+    # A /metrics scrape or a sampler tick, caught mid-way by fork().
+    with lock:
+        held.set()
+        release.wait()
+
+threading.Thread(target=hold, daemon=True).start()
+held.wait()
+pool = AnnotatorPool.from_annotator(annotator, 2, start_method="fork")
+release.set()
+with pool:
+    assert not pool.serial, "workers never became ready"
+    pooled = pool.annotate_batch(texts)
+assert [[m.entity_id for m in doc] for doc in pooled] == [
+    [m.entity_id for m in doc] for doc in serial
+]
+print("ok")
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+@pytest.mark.parametrize("instrument", ["metrics", "tracer"])
+def test_pool_survives_an_obs_lock_held_at_fork(instrument):
+    # metrics: the worker's obs.reset() takes the registry lock before
+    # it reports ready. tracer: its first root span takes the tracer
+    # lock mid-call, where the owner waits with no deadline.
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.Popen(
+        [sys.executable, "-c", _FORK_LOCK_SCRIPT, instrument],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"pool hung on an obs.{instrument} lock held at fork()")
+    assert child.returncode == 0 and out.strip() == "ok", err

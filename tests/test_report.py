@@ -458,6 +458,18 @@ class TestCliReport:
         assert document.startswith("<!DOCTYPE html>")
         assert "Slice F1" in document
 
+    def test_report_flags_leave_recording_off(self, artifacts, tmp_path):
+        # Run reports turn recording on; exporting them must turn it
+        # off again, as --metrics-out does.
+        _, world_path, corpus_path, model_path = artifacts
+        for flag in ("--report-out", "--report-html"):
+            assert cli.main([
+                "evaluate", "--world", str(world_path),
+                "--corpus", str(corpus_path), "--model", str(model_path),
+                "--split", "test", flag, str(tmp_path / "report"),
+            ]) == 0
+            assert obs.enabled is False, flag
+
     def test_report_show_and_html(self, artifacts, tmp_path, capsys):
         root, _, _, _ = artifacts
         report = _report(
