@@ -122,12 +122,6 @@ def _telemetry_parser() -> argparse.ArgumentParser:
         help="capture a per-mention decision record for every prediction "
              "and write them as JSONL (query with `repro explain`)",
     )
-    group.add_argument(
-        "--provenance-ring", type=_positive(int), metavar="N",
-        default=provenance.DEFAULT_CAPACITY,
-        help="decision-record ring capacity before spilling to the "
-             f"--provenance-out file (default {provenance.DEFAULT_CAPACITY})",
-    )
     return parent
 
 
@@ -188,7 +182,8 @@ def _store_parser() -> argparse.ArgumentParser:
              "the top K%% entities by popularity (default 10)",
     )
     group.add_argument(
-        "--store-budget-mb", type=float, default=None, metavar="MB",
+        "--store-budget-mb", type=_positive(float), default=None,
+        metavar="MB",
         help="with --store mmap: LRU-detach shards to keep attached "
              "payload under this many MiB (default: unbounded)",
     )
@@ -306,12 +301,10 @@ def _setup_telemetry(args: argparse.Namespace) -> None:
         obs.reset()
         obs.enable()
     if args.provenance_out:
-        # The owner process spills overflow straight to the output file;
-        # _export_telemetry appends whatever is still in the ring.
+        # Every record stays in memory; _export_telemetry writes the
+        # file once, at the end of the command.
         provenance.reset()
-        provenance.enable(
-            capacity=args.provenance_ring, spill_path=args.provenance_out
-        )
+        provenance.enable()
     if serving:
         from repro.obs.exporter import TelemetryServer
         from repro.obs.sampler import ResourceSampler
@@ -837,9 +830,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
+    # No parser matches flag prefixes: `report diff --json` would
+    # otherwise quietly mean `--json-logs`, and `evaluate --work 2`
+    # `--workers 2`.
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Bootleg reproduction: worlds, corpora, training, annotation.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     telemetry = _telemetry_parser()
@@ -847,7 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     cascade = _cascade_parser()
 
     world_parser = sub.add_parser(
-        "generate-world", help="create a synthetic world", parents=[telemetry]
+        "generate-world", help="create a synthetic world", parents=[telemetry],
+        allow_abbrev=False,
     )
     world_parser.add_argument("--entities", type=int, default=400)
     world_parser.add_argument("--seed", type=int, default=0)
@@ -855,7 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
     world_parser.set_defaults(func=cmd_generate_world)
 
     corpus_parser = sub.add_parser(
-        "generate-corpus", help="create a corpus", parents=[telemetry]
+        "generate-corpus", help="create a corpus", parents=[telemetry],
+        allow_abbrev=False,
     )
     corpus_parser.add_argument("--world", required=True)
     corpus_parser.add_argument("--pages", type=int, default=300)
@@ -865,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_parser.set_defaults(func=cmd_generate_corpus)
 
     train_parser = sub.add_parser(
-        "train", help="train a model", parents=[telemetry]
+        "train", help="train a model", parents=[telemetry], allow_abbrev=False
     )
     train_parser.add_argument("--world", required=True)
     train_parser.add_argument("--corpus", required=True)
@@ -886,13 +885,14 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate",
         help="evaluate a saved model",
         parents=[telemetry, store, cascade],
+        allow_abbrev=False,
     )
     eval_parser.add_argument("--world", required=True)
     eval_parser.add_argument("--corpus", required=True)
     eval_parser.add_argument("--model", required=True)
     eval_parser.add_argument("--split", default="val", choices=("train", "val", "test"))
     eval_parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive(int), default=1,
         help="run the batch plan across this many worker processes "
              "(1 = in-process serial path)",
     )
@@ -916,14 +916,13 @@ def build_parser() -> argparse.ArgumentParser:
         "annotate",
         help="disambiguate free text",
         parents=[telemetry, store, cascade],
+        allow_abbrev=False,
     )
     annotate_parser.add_argument("--world", required=True)
     annotate_parser.add_argument("--model", required=True)
     annotate_parser.add_argument("--text", required=True)
     annotate_parser.set_defaults(func=cmd_annotate)
 
-    # No prefix matching: `--json` would otherwise quietly mean
-    # `--json-logs` and print text findings.
     lint_parser = sub.add_parser(
         "lint",
         help="run the invariant linter (and optionally the model verifier)",
@@ -968,6 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="query per-mention decision provenance records",
         parents=[telemetry],
+        allow_abbrev=False,
     )
     explain_parser.add_argument(
         "records",
@@ -1021,25 +1021,26 @@ def build_parser() -> argparse.ArgumentParser:
     explain_parser.set_defaults(func=cmd_explain)
 
     report_parser = sub.add_parser(
-        "report", help="inspect, render, and diff run reports"
+        "report", help="inspect, render, and diff run reports",
+        allow_abbrev=False,
     )
     report_sub = report_parser.add_subparsers(
         dest="report_command", required=True
     )
     show_parser = report_sub.add_parser(
         "show", help="print a report's manifest and slice table",
-        parents=[telemetry],
+        parents=[telemetry], allow_abbrev=False,
     )
     show_parser.add_argument("report", help="run report JSON path")
     html_parser = report_sub.add_parser(
         "html", help="render a saved report as a self-contained dashboard",
-        parents=[telemetry],
+        parents=[telemetry], allow_abbrev=False,
     )
     html_parser.add_argument("report", help="run report JSON path")
     html_parser.add_argument("out", help="HTML output path")
     diff_parser = report_sub.add_parser(
         "diff", help="compare two reports slice by slice",
-        parents=[telemetry],
+        parents=[telemetry], allow_abbrev=False,
     )
     diff_parser.add_argument("old", help="baseline run report JSON path")
     diff_parser.add_argument("new", help="candidate run report JSON path")

@@ -380,7 +380,10 @@ class BootlegAnnotator:
         their tier-0 answers.
 
         The model runs through this module's ``predict_batches``, looked
-        up at call time so a tracer or a test can wrap it.
+        up at call time so a tracer or a test can wrap it. This is the
+        only place that holds both tiers' outcomes, so with provenance
+        on it records each kept mention's whole decision record
+        (:func:`_capture`).
         """
         mentions_per_sentence = [encodable_mentions(s) for s in sentences]
         started = time.perf_counter()
@@ -429,6 +432,7 @@ class BootlegAnnotator:
                 model_outcomes[index] = [
                     next(records) for _ in mentions_per_sentence[index]
                 ]
+        capturing = obs.enabled and provenance.active
         decided = []
         for index, mentions in enumerate(mentions_per_sentence):
             decisions = (
@@ -446,21 +450,16 @@ class BootlegAnnotator:
                     for decision, record in zip(decisions, outcomes)
                 ]
             decided.append((mentions, outcomes))
-        if decisions_per_sentence is not None and obs.enabled and provenance.active:
-            seconds = tier0_elapsed / max(1, num_mentions)
-            for sentence, (mentions, outcomes), decisions in zip(
-                sentences, decided, decisions_per_sentence
-            ):
-                for index, (mention, decision, outcome) in enumerate(
-                    zip(mentions, decisions, outcomes)
+            if capturing:
+                for mention_index, (mention, outcome) in enumerate(
+                    zip(mentions, outcomes)
                 ):
-                    _capture_tier0(
-                        sentence.sentence_id,
-                        index,
+                    _capture(
+                        sentences[index].sentence_id,
+                        mention_index,
                         mention,
-                        decision,
+                        decisions[mention_index] if decisions is not None else None,
                         outcome,
-                        seconds,
                     )
         return decided
 
@@ -544,53 +543,67 @@ class BootlegAnnotator:
         )
 
 
-def _capture_tier0(
+def _capture(
     sentence_id: int,
     mention_index: int,
     mention: Mention,
-    decision: Tier0Decision,
+    decision: Tier0Decision | None,
     outcome: Tier0Decision | MentionPrediction,
-    seconds: float,
 ) -> None:
-    """The tier-0 half of one mention's provenance record.
+    """Record one kept mention's whole provenance record.
 
-    An escalated mention's model half was recorded by
-    ``predict_batches``; its priors are re-aligned onto the model's
-    candidate list by id so ``prior_scores`` stays parallel to
-    ``candidate_ids``. A mention tier 0 answered gets the whole record
-    from the decision, replacing any model-tier fields it picked up
-    riding along in an escalated sentence.
+    ``decision`` is tier 0's answer (None without a cascade policy) and
+    ``outcome`` the mention's decision. A tier-0 answer is recorded from
+    the decision. A model decision is recorded from the model's
+    candidate scores; under a cascade it keeps tier 0's escalation
+    reason, and the priors are re-aligned onto the model's candidate
+    list by id so ``prior_scores`` stays parallel to ``candidate_ids``.
+    Annotated text has no gold (its mentions carry ``CANDIDATE_PAD``),
+    so no gold id is recorded for it.
     """
     if obs.enabled and provenance.active:
+        gold = mention.gold_entity_id
         fields: dict = {
-            "reason": decision.reason,
-            "type_veto": decision.reason == REASON_TYPE_VETO,
+            "surface": mention.surface,
+            "alias": normalize_alias(mention.surface),
+            "gold_entity_id": gold if gold != CANDIDATE_PAD else None,
         }
-        if decision.answered:
-            gold = mention.gold_entity_id
+        if isinstance(outcome, Tier0Decision):
             fields.update(
-                surface=mention.surface,
-                alias=normalize_alias(mention.surface),
                 tier=TIER_HEURISTIC,
-                candidate_ids=decision.candidate_ids,
-                prior_scores=decision.candidate_scores,
-                model_scores=[],
-                predicted_entity_id=decision.entity_id,
-                gold_entity_id=gold if gold >= 0 else None,
-                margin=decision.margin,
-                confidence=decision.confidence,
-                seconds=seconds,
+                candidate_ids=outcome.candidate_ids,
+                prior_scores=outcome.candidate_scores,
+                predicted_entity_id=outcome.entity_id,
+                margin=outcome.margin,
+                confidence=outcome.confidence,
             )
         else:
-            prior_by_id = dict(
-                zip(
-                    decision.candidate_ids.tolist(),
-                    decision.candidate_scores.tolist(),
-                )
-            )
-            fields["prior_scores"] = [
-                prior_by_id.get(int(cid), 0.0)
-                for cid in outcome.candidate_ids
-                if int(cid) != CANDIDATE_PAD
+            candidate_ids = [
+                int(cid) for cid in outcome.candidate_ids if cid != CANDIDATE_PAD
             ]
+            scores = outcome.candidate_scores[: len(candidate_ids)].tolist()
+            ranked = sorted(scores, reverse=True)
+            fields.update(
+                tier=TIER_MODEL,
+                candidate_ids=candidate_ids,
+                model_scores=scores,
+                predicted_entity_id=outcome.predicted_entity_id,
+                margin=ranked[0] - ranked[1] if len(ranked) > 1 else 0.0,
+                confidence=ranked[0] if ranked else 0.0,
+            )
+            if decision is not None:
+                prior_by_id = dict(
+                    zip(
+                        decision.candidate_ids.tolist(),
+                        decision.candidate_scores.tolist(),
+                    )
+                )
+                fields["prior_scores"] = [
+                    prior_by_id.get(cid, 0.0) for cid in candidate_ids
+                ]
+        if decision is not None:
+            fields.update(
+                reason=decision.reason,
+                type_veto=decision.reason == REASON_TYPE_VETO,
+            )
         provenance.record_decision(sentence_id, mention_index, **fields)

@@ -19,13 +19,11 @@ import numpy as np
 from collections.abc import Callable
 
 import repro.obs as obs
-from repro.corpus.dataset import CANDIDATE_PAD, NedDataset
+from repro.corpus.dataset import NedDataset
 from repro.errors import ConfigError, TrainingError
 from repro.eval.predictions import MentionPrediction
-from repro.kb.aliases import normalize_alias
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import no_grad
-from repro.obs import provenance
 from repro.obs.metrics import Histogram
 from repro.utils.logging import get_logger
 
@@ -339,13 +337,6 @@ def predict_batches(model, batches) -> list[MentionPrediction]:
             gold_ids = batch.gold_entity_ids
             evaluable = batch.evaluable
             is_weak = batch.is_weak
-            capturing = obs.enabled and provenance.active
-            batch_seconds = (
-                (time.perf_counter() - batch_start)
-                / max(1, int(mention_counts.sum()))
-                if capturing
-                else 0.0
-            )
             for b, sentence in enumerate(batch.sentences):
                 sentence_id = sentence.sentence_id
                 pattern = sentence.pattern
@@ -365,44 +356,5 @@ def predict_batches(model, batches) -> list[MentionPrediction]:
                             pattern=pattern,
                         )
                     )
-                    if capturing:
-                        _capture_model_decision(
-                            results[-1], batch_seconds
-                        )
     return results
 
-
-def _capture_model_decision(
-    record: MentionPrediction, seconds: float
-) -> None:
-    """Provenance for one model-tier prediction: candidate ids with
-    model scores plus the top-two score margin. Tier-0 fields (priors,
-    escalation reason) are upserted by the annotator when a cascade
-    policy is set. Annotated text has no gold (its mentions carry
-    ``CANDIDATE_PAD``), so no gold id is recorded for it.
-    """
-    if obs.enabled and provenance.active:
-        row_ids = [
-            int(cid) for cid in record.candidate_ids if int(cid) != CANDIDATE_PAD
-        ]
-        row_scores = [float(s) for s in record.candidate_scores[: len(row_ids)]]
-        ranked = sorted(row_scores, reverse=True)
-        margin = ranked[0] - ranked[1] if len(ranked) > 1 else 0.0
-        provenance.record_decision(
-            record.sentence_id,
-            record.mention_index,
-            surface=record.surface,
-            alias=normalize_alias(record.surface),
-            tier=record.tier,
-            candidate_ids=row_ids,
-            model_scores=row_scores,
-            predicted_entity_id=int(record.predicted_entity_id),
-            gold_entity_id=(
-                record.gold_entity_id
-                if record.gold_entity_id != CANDIDATE_PAD
-                else None
-            ),
-            margin=margin,
-            confidence=ranked[0] if ranked else 0.0,
-            seconds=seconds,
-        )

@@ -29,9 +29,9 @@ plane is actually used. The CLI wires those up via ``--serve-metrics``
 
 Per-mention decision provenance lives in :mod:`repro.obs.provenance`
 (imported as a plain submodule — it is stdlib-light and safe on the hot
-import path). Capture sites guard with ``obs.enabled and
-provenance.active`` so disabled runs pay nothing; the CLI wires it up
-via ``--provenance-out`` / ``--provenance-ring`` and the ``repro
+import path). Its one capture site, the annotator's decision routine,
+guards with ``obs.enabled and provenance.active`` so disabled runs pay
+nothing; the CLI wires it up via ``--provenance-out`` and the ``repro
 explain`` subcommand queries the resulting JSONL audit trail.
 """
 

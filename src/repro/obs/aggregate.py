@@ -1,27 +1,26 @@
 """Cross-process telemetry aggregation: one shipment type, one merge rule.
 
 A pool worker records into its own process-local ``repro.obs``
-singletons and provenance ring; without aggregation everything it
+singletons and provenance recorder; without aggregation everything it
 observed would die with the child process. This module is both ends of
 the exchange:
 
 - the **worker** calls :func:`take_shipment` to package what it
   recorded *since its last shipment* — metric deltas, closed spans and
-  decision records (the ring plus its eviction backlog) — into one
-  picklable dict, and clears that state, so consecutive shipments are
-  disjoint;
+  decision records — into one picklable dict, and clears that state,
+  so consecutive shipments are disjoint;
 - the **owner** calls :func:`merge_telemetry` on each shipment as soon
   as it arrives, folding counters/gauges/histograms into the global
   registry under re-labeled keys (``parallel.pool.chunk_seconds`` →
   ``…{worker=3}``), grafting the spans — with their real pid/tid —
-  into the global tracer, and upserting the decision records into the
-  provenance ring stamped with the worker's rank.
+  into the global tracer, and storing the decision records in the
+  provenance recorder stamped with the worker's rank.
 
 Because shipments are disjoint, merging each one exactly once keeps the
 owner exact up to the last shipment it read: counters and histogram
 count, sum, min and max equal what the workers shipped, and nothing is
 held per worker on the owner side. The heavy lifting (reservoir merging,
-key re-labeling, span rehydration, upserts) lives on
+key re-labeling, span rehydration, keyed records) lives on
 :class:`~repro.obs.metrics.MetricsRegistry`,
 :class:`~repro.obs.trace.SpanTracer` and :mod:`repro.obs.provenance`.
 """
@@ -48,8 +47,8 @@ def merge_telemetry(shipment: dict, worker: int) -> None:
 
     Metric keys gain a ``worker=<rank>`` label; spans keep their
     recorded pid/tid, which is what separates workers on the trace
-    timeline; decision records go through the same upsert every
-    capture uses (a no-op unless provenance is active).
+    timeline; each decision record replaces any earlier record of its
+    key, as every capture does (a no-op unless provenance is active).
     """
     obs.metrics.merge(shipment["metrics"], worker=worker)
     obs.tracer.merge(shipment["trace"])

@@ -29,9 +29,9 @@ nothing about a hung worker. :class:`TelemetryServer` is a stdlib-only
     The tracer's recent-span dump (:meth:`SpanTracer.to_dict`).
 
 ``/provenance``
-    Per-mention decision records (:mod:`repro.obs.provenance`): the
-    owner's ring, so a mid-run pool can be asked *why* a mention
-    resolved the way it did.
+    Per-mention decision records (:mod:`repro.obs.provenance`): every
+    record the owner holds, so a mid-run pool can be asked *why* a
+    mention resolved the way it did.
 
 Every endpoint reads owner state directly. Pool workers' telemetry
 reaches it through :mod:`repro.obs.aggregate`: the owner merges each

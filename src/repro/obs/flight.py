@@ -122,7 +122,7 @@ class FlightRecorder:
         from repro.obs import provenance
 
         if provenance.active:
-            # The decision-record ring rides in the crash bundle: a
+            # The run's decision records ride in the crash bundle: a
             # post-mortem can see not just *that* the run wedged but
             # which mentions it was deciding and why.
             bundle["provenance"] = provenance.snapshot_records()

@@ -5,29 +5,26 @@ fast; it never says *why* mention 17 in sentence 42 went to entity 5
 instead of entity 7. This module captures one :class:`DecisionRecord`
 per mention decision — surface form, normalized alias, candidate ids
 with prior and model scores, score margin, tier and machine-readable
-escalation reason, type-veto outcome, slice memberships, worker rank,
-and span timing — behind the same no-op fast path as every other obs
-layer: when ``obs.enabled`` is off (or provenance is not activated) the
-decision paths pay a single attribute check and nothing else.
+escalation reason, type-veto outcome, slice memberships and worker
+rank — behind the same no-op fast path as every other obs layer: when
+``obs.enabled`` is off (or provenance is not activated) the decision
+paths pay a single attribute check and nothing else.
 
-Storage is a bounded insertion-ordered ring keyed by
-``(sentence_id, mention_index)``. Re-recording a key *upserts*: fields
-the newcomer leaves unset (``None``) keep the stored value, so the
-tier-0 pass, the model pass, and the owner-side enrichment (slices,
-gold ids) each contribute their piece of the same record. When the
-ring is full the oldest record is evicted into a backlog — appended to
-the JSONL spill file, when one is configured, so long runs keep a
-complete audit trail on disk while memory stays bounded; without a
-spill file the backlog is kept for :meth:`ProvenanceRecorder.export_jsonl`
-or the next :meth:`ProvenanceRecorder.drain`.
+The annotator's decision routine is the one capture site: it holds
+both tiers' outcomes, so it records each kept mention's whole record
+at once. The recorder keeps every record of the run in a map keyed by
+``(sentence_id, mention_index)``; re-recording a key replaces the
+whole record (a retried pool task, or a repeated ``annotate_batch``
+sentence id). Slices are stamped on by the owner after scoring, and
+:meth:`ProvenanceRecorder.export_jsonl` writes the audit once, at the
+end of the run.
 
 Cross-process semantics follow :mod:`repro.obs.aggregate`: pool workers
-capture into their own rings, and every telemetry shipment drains the
-backlog plus the ring. The owner folds the shipped rows in through the
-same upsert, stamped with the worker's rank. A pooled call makes and
-records every decision in a worker, tier 0 included; the owner only
-attaches slices, once the pool has closed and every shipment is in. So
-upserting in arrival order builds the record serial capture would.
+capture into their own recorders, and every telemetry shipment drains
+what was recorded since the last one. The owner stores the shipped rows
+stamped with the worker's rank. A pooled call makes and records every
+decision in a worker, tier 0 included; the owner only attaches slices,
+once the pool has closed and every shipment is in.
 
 Lint rule RA613 confines :class:`DecisionRecord` to ``repro.obs``, and
 RA401 keeps every ``record_*`` capture call behind ``obs.enabled``, the
@@ -39,16 +36,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
-from collections import OrderedDict
 from typing import Any, Iterable, Iterator
 
 from repro.errors import SerializationError
 
-DEFAULT_CAPACITY = 4096
-
-#: Fields that carry numpy arrays in the decision paths; normalized to
-#: plain lists on capture so records pickle small and dump to JSON.
-_SEQUENCE_FIELDS = ("candidate_ids", "prior_scores", "model_scores")
+#: List fields; the decision paths hand some of them over as numpy
+#: arrays, normalized to plain lists on capture so records pickle small
+#: and dump to JSON.
+_SEQUENCE_FIELDS = ("candidate_ids", "prior_scores", "model_scores", "slices")
 
 
 @dataclasses.dataclass
@@ -58,8 +53,7 @@ class DecisionRecord:
     Score fields are parallel to ``candidate_ids``: ``prior_scores``
     are the tier-0 normalized popularity priors, ``model_scores`` the
     model's per-candidate scores (empty for mentions tier 0 answered).
-    ``margin`` / ``confidence`` belong to whichever tier decided;
-    ``seconds`` is that tier's per-mention amortized span timing.
+    ``margin`` / ``confidence`` belong to whichever tier decided.
     ``slices`` lists evaluation-slice names the mention belongs to
     (attached owner-side after scoring); ``worker`` is the pool rank
     that produced the record, or -1 for in-process capture.
@@ -81,7 +75,6 @@ class DecisionRecord:
     type_veto: bool = False
     slices: list[str] = dataclasses.field(default_factory=list)
     worker: int = -1
-    seconds: float = 0.0
 
     @property
     def key(self) -> tuple[int, int]:
@@ -96,34 +89,16 @@ class DecisionRecord:
         return cls(**{k: v for k, v in payload.items() if k in names})
 
 
-def _clean(updates: dict[str, Any]) -> dict[str, Any]:
-    """Drop unset fields and coerce array-likes to plain lists."""
-    cleaned: dict[str, Any] = {}
-    for name, value in updates.items():
-        if value is None:
-            continue
-        if name in _SEQUENCE_FIELDS or name == "slices":
-            value = [v.item() if hasattr(v, "item") else v for v in value]
-        elif hasattr(value, "item"):
-            value = value.item()
-        cleaned[name] = value
-    return cleaned
+def _plain(value: Any) -> Any:
+    """A numpy scalar as its Python value; anything else unchanged."""
+    return value.item() if hasattr(value, "item") else value
 
 
 class ProvenanceRecorder:
-    """Bounded ring of decision records with optional JSONL spill."""
+    """Every decision record of a run, keyed by ``(sentence_id, mention_index)``."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        spill_path: str | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"provenance capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.spill_path = spill_path
-        self._records: OrderedDict[tuple[int, int], DecisionRecord] = OrderedDict()
-        self._spill_buffer: list[dict[str, Any]] = []
+    def __init__(self) -> None:
+        self._records: dict[tuple[int, int], DecisionRecord] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -132,33 +107,22 @@ class ProvenanceRecorder:
 
     # -- capture -------------------------------------------------------
     def record(self, sentence_id: int, mention_index: int, **fields: Any) -> None:
-        """Upsert one record; unset (None) fields keep stored values."""
-        updates = _clean(fields)
+        """Store one whole record, replacing any earlier one of its key.
+
+        Array-likes become plain lists and numpy scalars Python values.
+        """
+        record = DecisionRecord(
+            sentence_id=int(sentence_id),
+            mention_index=int(mention_index),
+            **{
+                name: [_plain(v) for v in value]
+                if name in _SEQUENCE_FIELDS
+                else _plain(value)
+                for name, value in fields.items()
+            },
+        )
         with self._lock:
-            key = (int(sentence_id), int(mention_index))
-            existing = self._records.pop(key, None)
-            if existing is None:
-                existing = DecisionRecord(sentence_id=key[0], mention_index=key[1])
-            for name, value in updates.items():
-                setattr(existing, name, value)
-            self._records[key] = existing
-            self._evict_locked()
-
-    def _evict_locked(self) -> None:
-        while len(self._records) > self.capacity:
-            _, evicted = self._records.popitem(last=False)
-            self._spill_buffer.append(evicted.to_dict())
-        if self.spill_path and len(self._spill_buffer) >= 256:
-            self._flush_spill_locked()
-
-    def _flush_spill_locked(self) -> None:
-        if not self.spill_path or not self._spill_buffer:
-            self._spill_buffer.clear()
-            return
-        with open(self.spill_path, "a", encoding="utf-8") as handle:
-            for payload in self._spill_buffer:
-                handle.write(json.dumps(payload) + "\n")
-        self._spill_buffer.clear()
+            self._records[record.key] = record
 
     # -- read side -----------------------------------------------------
     def records(self) -> list[DecisionRecord]:
@@ -166,43 +130,25 @@ class ProvenanceRecorder:
             return list(self._records.values())
 
     def snapshot(self) -> list[dict[str, Any]]:
-        """Ring contents as plain dicts (pickle/JSON-safe)."""
+        """Every record as a plain dict (pickle/JSON-safe)."""
         with self._lock:
             return [record.to_dict() for record in self._records.values()]
 
     def drain(self) -> list[dict[str, Any]]:
-        """Evicted backlog then ring, oldest first, as plain dicts;
-        both are cleared. A worker's share of a telemetry shipment."""
+        """Every record as a plain dict, then cleared. A worker's share
+        of a telemetry shipment."""
         with self._lock:
-            rows = self._spill_buffer + [
-                record.to_dict() for record in self._records.values()
-            ]
-            self._spill_buffer = []
+            rows = [record.to_dict() for record in self._records.values()]
             self._records.clear()
         return rows
 
-    def flush(self) -> None:
-        """Write spilled-but-buffered records out to the spill file."""
-        with self._lock:
-            self._flush_spill_locked()
-
     def export_jsonl(self, path: str) -> int:
-        """Spill any evicted backlog, then append the live ring to ``path``.
+        """Write every record to ``path`` as JSONL, replacing the file.
 
-        Together with the eviction spill this makes the JSONL file a
-        complete audit trail. Returns the number of records written in
-        this call.
+        Returns the number of records written.
         """
-        with self._lock:
-            if self.spill_path == path:
-                self._flush_spill_locked()
-                pending: list[dict[str, Any]] = []
-            else:
-                pending = list(self._spill_buffer)
-                self._spill_buffer.clear()
-            live = [record.to_dict() for record in self._records.values()]
-        rows = pending + live
-        with open(path, "a", encoding="utf-8") as handle:
+        rows = self.snapshot()
+        with open(path, "w", encoding="utf-8") as handle:
             for payload in rows:
                 handle.write(json.dumps(payload) + "\n")
         return len(rows)
@@ -214,13 +160,10 @@ active: bool = False
 _recorder: ProvenanceRecorder | None = None
 
 
-def enable(
-    capacity: int = DEFAULT_CAPACITY,
-    spill_path: str | None = None,
-) -> ProvenanceRecorder:
+def enable() -> ProvenanceRecorder:
     """Activate provenance capture (requires ``obs.enable()`` too)."""
     global active, _recorder
-    _recorder = ProvenanceRecorder(capacity=capacity, spill_path=spill_path)
+    _recorder = ProvenanceRecorder()
     active = True
     return _recorder
 
@@ -238,7 +181,7 @@ def reset() -> None:
 
 
 def recorder() -> ProvenanceRecorder:
-    """The live recorder, creating a default-sized one if needed."""
+    """The live recorder, creating an empty one if needed."""
     global _recorder
     if _recorder is None:
         _recorder = ProvenanceRecorder()
@@ -246,7 +189,7 @@ def recorder() -> ProvenanceRecorder:
 
 
 def record_decision(sentence_id: int, mention_index: int, **fields: Any) -> None:
-    """Capture/extend one mention's decision record (upsert by key).
+    """Capture one mention's whole decision record (replaces its key).
 
     No-op unless :func:`enable` ran; decision paths guard the call with
     ``obs.enabled and provenance.active`` so the disabled fast path
@@ -258,7 +201,7 @@ def record_decision(sentence_id: int, mention_index: int, **fields: Any) -> None
 
 
 def snapshot_records() -> list[dict[str, Any]]:
-    """Current ring as dicts — the worker-shipping payload."""
+    """Every captured record as dicts."""
     if _recorder is None:
         return []
     return _recorder.snapshot()
@@ -280,13 +223,8 @@ def attach_slices(membership: dict[str, Any]) -> None:
             record.slices = names
 
 
-def flush() -> None:
-    if _recorder is not None:
-        _recorder.flush()
-
-
 def export_jsonl(path: str) -> int:
-    """Write the full audit trail (spill backlog + live ring) to JSONL."""
+    """Write the run's audit trail, every captured record, to JSONL."""
     if _recorder is None:
         return 0
     return _recorder.export_jsonl(path)

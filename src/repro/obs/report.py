@@ -162,7 +162,8 @@ def attach_slice_examples(
     """Link each slice's worst failures to their full decision records.
 
     For every slice, the failed outcomes (``correct == 0``) are joined
-    to the provenance ring by ``(sentence_id, mention_index)`` and the
+    to the run's decision records, every one of which the recorder
+    keeps, by ``(sentence_id, mention_index)``, and the
     ``max_examples`` *most confidently wrong* records (highest decision
     confidence) are attached as :attr:`SliceScore.examples` — the HTML
     dashboard renders them as a per-slice drill-down. No-op unless

@@ -128,9 +128,9 @@ class WorkerSpec:
     # (marked ``final``) at shutdown.
     observe: bool
     telemetry_interval: float
-    # Captured from provenance.active when the pool starts: workers run
-    # a process-local provenance ring, drained into the same shipments;
-    # the owner upserts the rows under worker={rank}.
+    # Captured from provenance.active when the pool starts: workers
+    # record into a process-local provenance recorder, drained into the
+    # same shipments; the owner stores the rows under worker={rank}.
     provenance: bool
 
 
@@ -292,8 +292,7 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
         obs.reset()
         obs.enable()
         if spec.provenance:
-            # Ring only, no spill: records ship to the owner, which
-            # owns the spill file.
+            # Records ship to the owner, which writes the audit.
             provenance.enable()
     results.send(("ready", worker_id, -1, None, 0.0))
     # Shipping state. Each shipment carries what was recorded since the

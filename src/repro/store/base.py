@@ -33,7 +33,8 @@ Stores also know how to cross a process boundary: ``export_meta()``
 returns a picklable descriptor and ``export_arrays()`` the arrays that
 must ride the shared-memory plane (empty for file-backed stores, whose
 workers re-open the files and share pages through the OS page cache).
-:func:`restore_from_export` rebuilds the store on the worker side.
+:func:`repro.store.restore_from_export` rebuilds the store on the
+worker side.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class EntityPayloadStore:
     """Read-only row store for the per-entity payload planes."""
 
     #: Backend identifier; also the ``--store`` CLI value and the
-    #: dispatch key of :func:`restore_from_export`.
+    #: dispatch key of :func:`repro.store.restore_from_export`.
     kind: str = "abstract"
 
     # -- geometry -------------------------------------------------------
@@ -136,28 +137,3 @@ class EntityPayloadStore:
         cls, meta: dict, arrays: dict[str, np.ndarray]
     ) -> "EntityPayloadStore":
         raise NotImplementedError
-
-
-_STORE_KINDS: dict[str, type[EntityPayloadStore]] = {}
-
-
-def register_store_kind(cls: type[EntityPayloadStore]) -> type[EntityPayloadStore]:
-    """Class decorator adding a backend to the restore dispatch table."""
-    _STORE_KINDS[cls.kind] = cls
-    return cls
-
-
-def store_kinds() -> list[str]:
-    """Registered backend names (the ``--store`` vocabulary)."""
-    return sorted(_STORE_KINDS)
-
-
-def restore_from_export(
-    meta: dict, arrays: dict[str, np.ndarray]
-) -> EntityPayloadStore:
-    """Rebuild a store from ``export_meta()`` + ``export_arrays()``."""
-    kind = meta.get("kind")
-    cls = _STORE_KINDS.get(kind)
-    if cls is None:
-        raise StoreError(f"unknown entity store kind {kind!r}")
-    return cls.from_export(meta, arrays)

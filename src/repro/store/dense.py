@@ -11,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StoreError
-from repro.store.base import EntityPayloadStore, register_store_kind
+from repro.store.base import EntityPayloadStore
 
 
-@register_store_kind
 class DensePayloadStore(EntityPayloadStore):
     """One in-memory block per plane; zero indirection on gather."""
 

@@ -37,7 +37,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.errors import StoreError
-from repro.store.base import EntityPayloadStore, register_store_kind
+from repro.store.base import EntityPayloadStore
 
 FORMAT = "repro.store/v1"
 MANIFEST_NAME = "manifest.json"
@@ -174,7 +174,6 @@ class _PlaneMaps:
         return length * self.dim * self.dtype.itemsize
 
 
-@register_store_kind
 class ShardedMmapStore(EntityPayloadStore):
     """Lazy shard attach, LRU detach under budget, zero-copy windows."""
 

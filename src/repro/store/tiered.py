@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StoreError
-from repro.store.base import EntityPayloadStore, register_store_kind
+from repro.store.base import EntityPayloadStore
 
 _COMPONENTS = (
     "head_slot",
@@ -43,7 +43,6 @@ _COMPONENTS = (
 )
 
 
-@register_store_kind
 class TieredPayloadStore(EntityPayloadStore):
     """Full-precision head rows + shared quantized tail block."""
 

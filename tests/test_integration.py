@@ -8,7 +8,7 @@ annotation → serialization, plus failure-injection paths.
 import numpy as np
 import pytest
 
-from repro.baselines import most_popular_predictions
+from repro.baselines import NedBaseConfig, NedBaseModel, most_popular_predictions
 from repro.candgen import mine_candidate_map
 from repro.core import (
     BootlegAnnotator,
@@ -52,9 +52,8 @@ def pipeline():
         BootlegConfig(num_candidates=6), world.kb, vocab,
         entity_counts=counts.counts,
     )
-    Trainer(
-        model, train, TrainConfig(epochs=20, batch_size=16, learning_rate=3e-3)
-    ).train()
+    train_config = TrainConfig(epochs=20, batch_size=16, learning_rate=3e-3)
+    Trainer(model, train, train_config).train()
     return {
         "world": world,
         "corpus": corpus,
@@ -62,9 +61,18 @@ def pipeline():
         "counts": counts,
         "candidate_map": candidate_map,
         "train": train,
+        "train_config": train_config,
         "val": val,
         "model": model,
     }
+
+
+@pytest.fixture(scope="module")
+def ned_base(pipeline):
+    """NED-Base trained like the pipeline's Bootleg model, on its data."""
+    model = NedBaseModel(NedBaseConfig(), pipeline["world"].kb, pipeline["vocab"])
+    Trainer(model, pipeline["train"], pipeline["train_config"]).train()
+    return model
 
 
 class TestFullPipeline:
@@ -92,6 +100,16 @@ class TestFullPipeline:
         with compressed_embeddings(model, counts.counts, 5):
             compressed = f1_by_bucket(predict(model, val), counts)["all"]
         assert compressed >= full - 5, (full, compressed)
+
+    def test_tail_and_unseen_gap_over_ned_base(self, pipeline, ned_base):
+        # Table 2's shape: the type and KG signals carry the tail and
+        # unseen entities that NED-Base, which learns entities from
+        # their mentions' text alone, misses.
+        counts = pipeline["counts"]
+        bootleg = f1_by_bucket(predict(pipeline["model"], pipeline["val"]), counts)
+        baseline = f1_by_bucket(predict(ned_base, pipeline["val"]), counts)
+        assert bootleg["tail"] >= baseline["tail"] + 10, (bootleg, baseline)
+        assert bootleg["unseen"] >= baseline["unseen"], (bootleg, baseline)
 
     def test_training_improves_over_untrained(self, pipeline):
         untrained = BootlegModel(

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.corpus import (
     CorpusConfig,
@@ -413,8 +414,7 @@ class TestCli:
             ["annotate", "--world", "{root}/world.json",
              "--model", "{root}/array.npy", "--text", "w1"],
             ["explain", "{root}/missing.jsonl"],
-            ["generate-world", "--out", "{root}/w.json",
-             "--provenance-out", "{root}/p.jsonl", "--provenance-ring", "0"],
+            ["report", "diff", "{root}/old.json", "{root}/new.json", "--json"],
             ["generate-world", "--out", "{root}/w.json",
              "--serve-metrics", "0", "--sample-interval", "0"],
             ["explain", "{root}/records.jsonl", "--limit", "-1"],
@@ -428,7 +428,7 @@ class TestCli:
             "annotate-missing-model", "evaluate-missing-model",
             "model-without-metadata", "model-not-an-npz", "model-is-an-npy",
             "explain-missing-records",
-            "provenance-ring-0", "sample-interval-0",
+            "diff-json", "sample-interval-0",
             "explain-limit-negative", "explain-limit-0",
             "diff-samples-0", "diff-alpha-2",
         ],
@@ -446,3 +446,31 @@ class TestCli:
         assert result.returncode != 0
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr, result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "diff", "a.json", "b.json", "--json"],
+            ["evaluate", "--work", "2"],
+            ["evaluate", "--cascade-m", "0.5"],
+            ["evaluate", "--workers", "0"],
+            ["evaluate", "--workers", "-2"],
+            ["evaluate", "--store-budget-mb", "-5"],
+            ["evaluate", "--store-budget-mb", "0"],
+        ],
+        ids=[
+            "diff-json-prefix", "workers-prefix", "cascade-margin-prefix",
+            "workers-0", "workers-negative", "store-budget-negative",
+            "store-budget-0",
+        ],
+    )
+    def test_flags_are_exact_and_checked(self, argv, capsys):
+        # A prefix of a longer flag, a worker count below 1 and a store
+        # budget of 0 MiB or less are usage errors, not silently
+        # different runs.
+        if argv[0] == "evaluate":
+            argv = argv + ["--world", "w", "--corpus", "c", "--model", "m"]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err

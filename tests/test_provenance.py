@@ -1,4 +1,4 @@
-"""Decision provenance: ring semantics, pooled merge, CLI, endpoint.
+"""Decision provenance: recorder semantics, pooled merge, CLI, endpoint.
 
 The identity tests matter most: provenance is an observer, so turning
 it on must never change a single prediction, serial or pooled. ``make
@@ -131,10 +131,10 @@ def _clean_provenance():
 
 
 @contextmanager
-def _capture(capacity=provenance.DEFAULT_CAPACITY, spill_path=None):
+def _capture():
     """obs + provenance on, both reset afterwards."""
     with obs.scope(fresh=True):
-        provenance.enable(capacity=capacity, spill_path=spill_path)
+        provenance.enable()
         try:
             yield provenance.recorder()
         finally:
@@ -159,18 +159,20 @@ def records_equal(a, b):
 # ----------------------------------------------------------------------
 class TestRecorder:
     def test_record_upserts_and_none_keeps_stored_values(self):
-        rec = ProvenanceRecorder(capacity=8)
-        rec.record(1, 0, surface="Lincoln", tier="tier0", margin=0.5)
-        rec.record(1, 0, tier="model", margin=None, model_scores=[0.9, 0.1])
+        # Re-recording a key replaces the whole record: nothing of the
+        # earlier one survives, and a None the newcomer carries is
+        # stored as None.
+        rec = ProvenanceRecorder()
+        rec.record(1, 0, surface="Lincoln", tier="tier0", gold_entity_id=4)
+        rec.record(1, 0, tier="model", gold_entity_id=None, model_scores=[0.9, 0.1])
         (stored,) = rec.records()
-        assert stored.surface == "Lincoln"
-        assert stored.tier == "model"
-        assert stored.margin == 0.5  # None never clobbers
-        assert stored.model_scores == [0.9, 0.1]
+        assert stored == DecisionRecord(
+            sentence_id=1, mention_index=0, tier="model", model_scores=[0.9, 0.1]
+        )
         assert len(rec) == 1
 
     def test_record_coerces_numpy_scalars_and_arrays(self):
-        rec = ProvenanceRecorder(capacity=8)
+        rec = ProvenanceRecorder()
         rec.record(
             2,
             0,
@@ -185,47 +187,42 @@ class TestRecorder:
         assert isinstance(stored.confidence, float)
         json.dumps(stored.to_dict())  # JSON-safe all the way down
 
-    def test_eviction_is_oldest_first_and_spills(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        rec = ProvenanceRecorder(capacity=2, spill_path=str(spill))
-        for i in range(5):
-            rec.record(i, 0, tier="tier0")
-        assert len(rec) == 2
-        assert [r.sentence_id for r in rec.records()] == [3, 4]
-        rec.flush()
-        spilled = [json.loads(line) for line in spill.read_text().splitlines()]
-        assert [row["sentence_id"] for row in spilled] == [0, 1, 2]
-
-    def test_module_flush_writes_evictions_to_spill(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        with _capture(capacity=2, spill_path=str(spill)) as rec:
-            for i in range(4):
-                rec.record(i, 0, tier="tier0")
-            provenance.flush()
-            spilled = [
-                json.loads(line) for line in spill.read_text().splitlines()
-            ]
-            assert [row["sentence_id"] for row in spilled] == [0, 1]
-
     def test_export_jsonl_roundtrips_backlog_plus_ring(self, tmp_path):
+        # Export writes every record once and replaces the file, so a
+        # second export of the same records leaves the same rows.
         out = tmp_path / "audit.jsonl"
-        rec = ProvenanceRecorder(capacity=2)
+        rec = ProvenanceRecorder()
         for i in range(4):
             rec.record(i, 0, surface=f"s{i}")
+        assert rec.export_jsonl(str(out)) == 4
         assert rec.export_jsonl(str(out)) == 4
         loaded = provenance.load_jsonl(str(out))
         assert [r.sentence_id for r in loaded] == [0, 1, 2, 3]
         assert loaded[3].surface == "s3"
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ProvenanceRecorder(capacity=0)
+    def test_over_4096_records_export_once_each_with_slices(self, tmp_path):
+        # More records than a 4,096-entry ring holds: every one stays
+        # until export, so attach_slices reaches them all.
+        keys = [(sentence, index) for sentence in range(2100) for index in (0, 1)]
+        out = tmp_path / "audit.jsonl"
+        with _capture():
+            for sentence, index in keys:
+                provenance.record_decision(sentence, index, tier="model")
+            provenance.attach_slices(
+                {"tail": set(keys[::2]), "head": set(keys[1::2])}
+            )
+            assert provenance.export_jsonl(str(out)) == len(keys)
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert sorted(
+            (row["sentence_id"], row["mention_index"]) for row in rows
+        ) == keys
+        assert all(row["slices"] for row in rows)
 
     def test_module_capture_requires_enable(self):
         assert not provenance.active
         provenance.record_decision(1, 0, surface="x")  # silently dropped
         assert provenance.snapshot_records() == []
-        provenance.enable(capacity=4)
+        provenance.enable()
         provenance.record_decision(1, 0, surface="x")
         assert len(provenance.snapshot_records()) == 1
         provenance.disable()
@@ -233,7 +230,7 @@ class TestRecorder:
         assert len(provenance.snapshot_records()) == 1  # disable() froze it
 
     def test_attach_slices(self):
-        provenance.enable(capacity=4)
+        provenance.enable()
         provenance.record_decision(1, 0, surface="a")
         provenance.record_decision(2, 0, surface="b")
         provenance.attach_slices(
@@ -345,7 +342,7 @@ class TestSerialCascadeCapture:
 
 
 # ----------------------------------------------------------------------
-# Pooled capture: worker rings ship to the owner under worker={rank}
+# Pooled capture: worker records ship to the owner under worker={rank}
 # ----------------------------------------------------------------------
 def annotations_equal(a, b):
     assert len(a) == len(b)
@@ -407,12 +404,12 @@ class TestPooledProvenance:
         assert all(record.gold_entity_id is None for record in captured)
 
     def test_pooled_capture_keeps_every_record(self, annotator, texts):
-        # Regression: workers shipped cumulative copies of a ring capped
-        # at DEFAULT_CAPACITY, so records evicted between shipments never
-        # reached the owner (8,192 of 9,900 kept here). Each shipment now
-        # drains the eviction backlog along with the ring.
+        # Regression: workers once shipped cumulative copies of a
+        # 4,096-record ring, so records evicted between shipments never
+        # reached the owner (8,192 of 9,900 kept here). Each shipment
+        # drains every record since the last one.
         many = (texts * 400)[:6000]
-        with _capture(capacity=10 * len(many)) as recorder:
+        with _capture() as recorder:
             with self._pool(annotator) as pool:
                 annotated = pool.annotate_batch(many)
             captured = recorder.records()
@@ -421,7 +418,7 @@ class TestPooledProvenance:
             for doc, mentions in enumerate(annotated)
             for index in range(len(mentions))
         }
-        assert len(expected) > 2 * provenance.DEFAULT_CAPACITY
+        assert len(expected) > 8192
         assert len(captured) == len(expected)
         assert {record.key for record in captured} == expected
         assert all(record.worker >= 0 for record in captured)
@@ -444,7 +441,7 @@ class TestPooledProvenance:
         with _capture() as recorder:
             with self._pool(annotator, telemetry_interval=0.0) as pool:
                 pool.annotate_batch(texts[:8], chunk_size=2)
-                # Shipped rows are upserted into the owner ring on
+                # Shipped rows are stored in the owner's recorder on
                 # arrival, so they are there while the pool is open.
                 rows = provenance.snapshot_records()
                 assert rows, "no worker shipped provenance mid-run"
@@ -467,9 +464,9 @@ class TestPooledProvenance:
         self, annotator, texts
     ):
         # Mirror of the dead-worker telemetry recovery: interval=0 ships
-        # after every task and the owner upserts each shipment on
+        # after every task and the owner stores each shipment on
         # arrival, so a SIGKILLed worker's shipped records stay in the
-        # owner ring through close.
+        # owner's recorder through close.
         with _capture() as recorder:
             with self._pool(annotator, telemetry_interval=0.0) as pool:
                 pool.annotate_batch(texts[:12], chunk_size=2)
@@ -518,7 +515,7 @@ class TestExplainCli:
 
     def _audit_file(self, tmp_path):
         path = tmp_path / "audit.jsonl"
-        rec = ProvenanceRecorder(capacity=16)
+        rec = ProvenanceRecorder()
         rec.record(
             4, 0, surface="Springfield", alias="springfield", tier="tier0",
             reason=REASON_CONFIDENT, candidate_ids=[11, 12],
@@ -593,6 +590,25 @@ class TestExplainCli:
         assert "reason=confident" in out
         assert "(" in out  # titles resolved from the world KB
 
+    def test_provenance_out_replaces_an_existing_file(
+        self, artifacts, tmp_path
+    ):
+        # Like --metrics-out, a second run overwrites the audit: one row
+        # per mention, not one per mention per run.
+        world_path, corpus_path, model_path = artifacts
+        audit_path = str(tmp_path / "audit.jsonl")
+        argv = [
+            "evaluate", "--world", world_path, "--corpus", corpus_path,
+            "--model", model_path, "--provenance-out", audit_path,
+        ]
+        assert cli.main(argv) == 0
+        first = provenance.load_jsonl(audit_path)
+        assert cli.main(argv) == 0
+        second = provenance.load_jsonl(audit_path)
+        assert first
+        assert len({record.key for record in second}) == len(second)
+        assert len(second) == len(first)
+
     @needs_shm
     def test_pooled_evaluate_audit_matches_serial(
         self, artifacts, tmp_path
@@ -600,8 +616,8 @@ class TestExplainCli:
         # Pooled evaluate makes and records every decision in a worker,
         # tier 0 included; the owner attaches slices once the pool has
         # closed. The audit must hold the serial rows, key for key,
-        # except for the rank that decided each and its timing. Rows
-        # follow the order the workers' shipments arrived in.
+        # except for the rank that decided each. Rows follow the order
+        # the workers' shipments arrived in.
         world_path, corpus_path, model_path = artifacts
 
         def audit(workers):
@@ -616,10 +632,9 @@ class TestExplainCli:
             return [json.loads(line) for line in path.read_text().splitlines()]
 
         def by_key(rows):
-            strip = ("worker", "seconds")
             keyed = {
                 (row["sentence_id"], row["mention_index"]): {
-                    k: v for k, v in row.items() if k not in strip
+                    k: v for k, v in row.items() if k != "worker"
                 }
                 for row in rows
             }

@@ -37,7 +37,6 @@ from repro.store import (
     ShardedStoreWriter,
     TieredPayloadStore,
     restore_from_export,
-    store_kinds,
     write_sharded_store,
 )
 
@@ -152,9 +151,6 @@ class TestDenseStore:
     def test_unknown_kind_rejected(self):
         with pytest.raises(StoreError):
             restore_from_export({"kind": "nope"}, {})
-
-    def test_registry_lists_all_backends(self):
-        assert {"dense", "mmap", "tiered"} <= set(store_kinds())
 
 
 # ----------------------------------------------------------------------
