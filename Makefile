@@ -1,8 +1,8 @@
 # Convenience targets for the Bootleg reproduction.
 
 .PHONY: install test lint lint-fast check test-report bench \
-	bench-report bench-e2e bench-store obs-demo obs-live-demo \
-	report-demo examples clean-cache
+	bench-report bench-e2e bench-store obs-demo report-demo examples \
+	clean-cache
 
 install:
 	pip install -e .
@@ -43,9 +43,8 @@ check: lint
 	PYTHONPATH=src python -m pytest -x
 	REPRO_PARALLEL_START_METHOD=spawn PYTHONPATH=src \
 		python -m pytest tests/test_parallel.py tests/test_report.py \
-		tests/test_store.py tests/test_live_obs.py \
-		tests/test_cascade.py tests/test_provenance.py -x
-	$(MAKE) obs-live-demo
+		tests/test_store.py tests/test_cascade.py \
+		tests/test_provenance.py -x
 
 test-report:
 	PYTHONPATH=src python -m pytest tests/ 2>&1 | tee test_output.txt
@@ -88,13 +87,6 @@ obs-demo:
 	PYTHONPATH=src python examples/quickstart.py \
 		--metrics-out benchmarks/results/obs_metrics.json \
 		--trace-out benchmarks/results/obs_trace.json
-
-# Live-telemetry smoke test: run a pooled evaluate with --serve-metrics
-# and scrape /metrics + /healthz mid-run, asserting per-worker series
-# (worker="0"..) and sampler gauges are live while work is in flight.
-# Exits 0 with a skip note on boxes without POSIX shared memory.
-obs-live-demo:
-	PYTHONPATH=src python benchmarks/obs_live_demo.py
 
 # Train + evaluate a small world end to end and emit the full report
 # bundle (JSON + self-contained HTML dashboard + merged pool metrics)

@@ -1,18 +1,17 @@
 """Intraprocedural resource-lifecycle dataflow (RA7xx) for the
 whole-program pass.
 
-The RA7xx engine pairs *acquire* sites (shared-memory segments, the
-telemetry server, the resource sampler, health-probe registrations,
-memmap windows, bare ``open()``) with a *release* that must stay
-reachable on every path out of the acquiring function — including the
-exception edge between the acquire and wherever the handle ends up.
+The RA7xx engine pairs *acquire* sites (shared-memory segments, memmap
+windows, bare ``open()``) with a *release* that must stay reachable on
+every path out of the acquiring function — including the exception
+edge between the acquire and wherever the handle ends up.
 
 An acquire passes when one of these holds:
 
 - it is the context expression of a ``with`` statement;
 - it happens inside (or immediately before) a ``try`` whose ``finally``
   or ``except`` body releases the handle or calls a cleanup routine
-  (``*close*``/``*stop*``/``*teardown*``/… — e.g. ``_teardown_live``);
+  (``*close*``/``*stop*``/``*teardown*``/… — e.g. ``self._teardown()``);
 - the handle is stored on an object (``self.x = …`` or an adjacent
   hand-off) whose class defines a conventional release method
   (``close``/``stop``/``shutdown``/``__exit__``/…);
@@ -59,7 +58,7 @@ RELEASE_METHOD_NAMES = frozenset(
 
 # A call in a ``finally``/``except`` body whose name contains one of
 # these counts as cleanup even when it is not a direct method call on
-# the tracked handle (e.g. ``_teardown_live()``).
+# the tracked handle (e.g. ``self._teardown()``).
 _CLEANUP_TOKENS = (
     "close",
     "stop",
@@ -85,12 +84,6 @@ class LifecycleSpec:
     # Restrict constructor matching to bare names (``open`` must not
     # match ``ShardedMmapStore.open``).
     bare_names_only: bool = False
-    # Types whose ``.start()`` is the acquire (fluent or two-step).
-    start_classes: frozenset[str] = frozenset()
-    # Handle-less register-style acquires: method names + receivers.
-    register_methods: frozenset[str] = frozenset()
-    register_receivers: frozenset[str] = frozenset()
-    register_types: frozenset[str] = frozenset()
     # Method names that release the handle.
     releases: frozenset[str] = frozenset()
     hint: str = ""
@@ -104,33 +97,6 @@ LIFECYCLE_SPECS: tuple[LifecycleSpec, ...] = (
         releases=frozenset({"close", "unlink"}),
         hint="a leaked segment survives the process (resource_tracker "
         "noise at best, /dev/shm exhaustion at worst)",
-    ),
-    LifecycleSpec(
-        rule_id="RA702",
-        label="telemetry server",
-        constructors=frozenset({"ThreadingHTTPServer", "HTTPServer"}),
-        start_classes=frozenset({"TelemetryServer"}),
-        releases=frozenset({"stop", "shutdown", "server_close", "close"}),
-        hint="an unstopped server pins its port and a non-daemon-joinable "
-        "thread for the rest of the process",
-    ),
-    LifecycleSpec(
-        rule_id="RA703",
-        label="resource sampler",
-        start_classes=frozenset({"ResourceSampler"}),
-        releases=frozenset({"stop"}),
-        hint="a leaked sampler thread keeps reading /proc and mutating "
-        "the metrics registry after the run finished",
-    ),
-    LifecycleSpec(
-        rule_id="RA704",
-        label="health-probe registration",
-        register_methods=frozenset({"register"}),
-        register_receivers=frozenset({"health"}),
-        register_types=frozenset({"HealthRegistry"}),
-        releases=frozenset({"unregister"}),
-        hint="a stale probe keeps reporting the previous run's component "
-        "on /healthz",
     ),
     LifecycleSpec(
         rule_id="RA705",
@@ -150,8 +116,6 @@ LIFECYCLE_SPECS: tuple[LifecycleSpec, ...] = (
         "a close()",
     ),
 )
-
-_SPEC_BY_ID = {spec.rule_id: spec for spec in LIFECYCLE_SPECS}
 
 # ---------------------------------------------------------------------------
 # AST plumbing
@@ -311,54 +275,6 @@ def _try_cleans_up(
     return False
 
 
-# ---------------------------------------------------------------------------
-# Local type environments (for `.start()` receiver resolution)
-# ---------------------------------------------------------------------------
-
-
-def _ctor_class(value: ast.expr) -> str | None:
-    """The class name a value expression constructs, seeing through a
-    fluent ``.start()`` tail: ``TelemetryServer(...).start()``."""
-    if isinstance(value, ast.Call):
-        if (
-            isinstance(value.func, ast.Attribute)
-            and value.func.attr == "start"
-            and isinstance(value.func.value, ast.Call)
-        ):
-            return _tail_name(value.func.value.func)
-        return _tail_name(value.func)
-    return None
-
-
-def _local_types(scope: ast.AST) -> dict[str, str]:
-    env: dict[str, str] = {}
-    for node in _walk_shallow(scope):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            cls = _ctor_class(node.value)
-            if cls is None:
-                continue
-            if isinstance(target, ast.Name):
-                env[target.id] = cls
-            elif (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                env["self." + target.attr] = cls
-    return env
-
-
-def _class_attr_types(cls_node: ast.ClassDef) -> dict[str, str]:
-    env: dict[str, str] = {}
-    for method in cls_node.body:
-        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for key, value in _local_types(method).items():
-                if key.startswith("self."):
-                    env[key] = value
-    return env
-
-
 def _locals_of(scope: ast.AST) -> set[str]:
     names: set[str] = set()
     args = getattr(scope, "args", None)
@@ -382,11 +298,7 @@ def _locals_of(scope: ast.AST) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-def _match_acquire(
-    call: ast.Call,
-    local_env: dict[str, str],
-    attr_env: dict[str, str],
-) -> LifecycleSpec | None:
+def _match_acquire(call: ast.Call) -> LifecycleSpec | None:
     func = call.func
     for spec in LIFECYCLE_SPECS:
         if isinstance(func, ast.Name) and func.id in spec.constructors:
@@ -397,35 +309,6 @@ def _match_acquire(
             and func.attr in spec.constructors
         ):
             return spec
-        if spec.start_classes and isinstance(func, ast.Attribute):
-            if func.attr == "start":
-                receiver = func.value
-                cls: str | None = None
-                if isinstance(receiver, ast.Call):
-                    cls = _tail_name(receiver.func)
-                elif isinstance(receiver, ast.Name):
-                    cls = local_env.get(receiver.id)
-                elif (
-                    isinstance(receiver, ast.Attribute)
-                    and isinstance(receiver.value, ast.Name)
-                    and receiver.value.id == "self"
-                ):
-                    cls = attr_env.get("self." + receiver.attr) or local_env.get(
-                        "self." + receiver.attr
-                    )
-                if cls in spec.start_classes:
-                    return spec
-        if spec.register_methods and isinstance(func, ast.Attribute):
-            if func.attr in spec.register_methods:
-                receiver = func.value
-                tail = _tail_name(receiver)
-                if tail in spec.register_receivers:
-                    return spec
-                if (
-                    isinstance(receiver, ast.Name)
-                    and local_env.get(receiver.id) in spec.register_types
-                ):
-                    return spec
     return None
 
 
@@ -468,18 +351,6 @@ def _class_has_release_method(cls_node: ast.ClassDef | None) -> bool:
         and m.name in RELEASE_METHOD_NAMES
         for m in cls_node.body
     )
-
-
-def _class_calls_release(
-    cls_node: ast.ClassDef | None, releases: frozenset[str]
-) -> bool:
-    if cls_node is None:
-        return False
-    for method in cls_node.body:
-        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if _has_release_call(method, None, releases):
-                return True
-    return False
 
 
 def _protecting_try(
@@ -607,46 +478,22 @@ def _scan_events(
 
 
 def _analyze_scope(
-    scope: ast.AST,
-    path: str,
-    cls_node: ast.ClassDef | None,
-    attr_env: dict[str, str],
+    scope: ast.AST, path: str, cls_node: ast.ClassDef | None
 ) -> list[Finding]:
     findings: list[Finding] = []
-    local_env = _local_types(scope)
     local_names = _locals_of(scope)
     stmts = _statements(scope)
 
     for call in list(_walk_shallow(scope)):
         if not isinstance(call, ast.Call):
             continue
-        spec = _match_acquire(call, local_env, attr_env)
+        spec = _match_acquire(call)
         if spec is None:
             continue
         if _in_with_context(call, scope):
             continue
         stmt = _enclosing_stmt(call, scope)
         if stmt is None:
-            continue
-
-        if spec.register_methods and not spec.constructors and not spec.start_classes:
-            # Handle-less registration: needs in-function try-cleanup or
-            # a class-level paired release.
-            if _protecting_try(stmt, scope, None, spec.releases):
-                continue
-            if _class_calls_release(cls_node, spec.releases):
-                continue
-            findings.append(
-                _finding(
-                    path,
-                    call,
-                    spec,
-                    "has no paired release on the exception edge: wrap in "
-                    "try/finally (or try/except + re-raise) calling "
-                    f"{sorted(spec.releases)[0]}(), or pair it with a class "
-                    "release method",
-                )
-            )
             continue
 
         # Factory transfer: the acquire is (part of) the return value.
@@ -810,27 +657,17 @@ def check_resource_lifecycles(tree: ast.AST, path: str) -> list[Finding]:
     """Run the RA7xx lifecycle engine over every scope of one file."""
     _link_parents(tree)
     findings: list[Finding] = []
-    findings.extend(_analyze_scope(tree, path, None, {}))
+    findings.extend(_analyze_scope(tree, path, None))
 
     class_of: dict[ast.AST, ast.ClassDef] = {}
-    attr_envs: dict[ast.ClassDef, dict[str, str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            attr_envs[node] = _class_attr_types(node)
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     class_of[member] = node
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            cls_node = class_of.get(node)
-            findings.extend(
-                _analyze_scope(
-                    node,
-                    path,
-                    cls_node,
-                    attr_envs.get(cls_node, {}) if cls_node else {},
-                )
-            )
+            findings.extend(_analyze_scope(node, path, class_of.get(node)))
     return findings
 
 

@@ -60,8 +60,8 @@ FORBIDDEN_EDGES: tuple[ForbiddenEdge, ...] = (
         ),
         targets=("repro.cli", "repro.__main__"),
         reason="the CLI is the composition root; importing it from a "
-        "library module drags argparse wiring and the live telemetry "
-        "plane into every consumer",
+        "library module drags argparse wiring and every subcommand's "
+        "dependencies into every consumer",
     ),
     ForbiddenEdge(
         importers=(
@@ -80,18 +80,6 @@ FORBIDDEN_EDGES: tuple[ForbiddenEdge, ...] = (
         reason="the cascade is policy plus tier-0 linker beneath the "
         "model; repro.core's annotator runs it, so an import back "
         "would cycle",
-    ),
-    ForbiddenEdge(
-        importers=(
-            "repro.nn", "repro.core", "repro.kb", "repro.corpus",
-            "repro.text", "repro.eval", "repro.store", "repro.baselines",
-            "repro.downstream", "repro.weaklabel", "repro.utils",
-            "repro.errors", "repro.cascade",
-        ),
-        targets=("repro.obs.exporter", "repro.obs.sampler", "repro.obs.flight"),
-        reason="the live telemetry plane owns threads, sockets and "
-        "signal handlers; model/data code may only use the passive "
-        "repro.obs recording API",
     ),
 )
 

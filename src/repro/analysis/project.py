@@ -36,9 +36,6 @@ PROJECT_RULES: tuple[tuple[str, str, str], ...] = (
     ("RA612", "dead-public-symbol", "public top-level symbols should be imported somewhere (warning)"),
     ("RA613", "confined-name", "layers.CONFINED names (multiprocessing, mmap, DecisionRecord, ...) are used only in their home packages"),
     ("RA701", "shm-lifecycle", "SharedMemory acquires need close/unlink reachable on exception edges"),
-    ("RA702", "server-lifecycle", "TelemetryServer.start needs a reachable stop"),
-    ("RA703", "sampler-lifecycle", "ResourceSampler.start needs a reachable stop"),
-    ("RA704", "health-lifecycle", "HealthRegistry.register needs a paired unregister"),
     ("RA705", "memmap-lifecycle", "memmap windows need an owner with close/detach"),
     ("RA706", "file-lifecycle", "bare open() must be with-managed or owned by a closeable object"),
 )

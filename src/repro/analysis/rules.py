@@ -40,8 +40,8 @@ only held by code review into machine-checked invariants:
     exempt.
 
 ``RA404`` metric-naming
-    Units belong in the metric name (the Prometheus convention the live
-    ``/metrics`` endpoint exposes): a histogram whose (static) name
+    Units belong in the metric name, since names reach ``--metrics-out``
+    and run reports as-is: a histogram whose (static) name
     mentions a duration (``latency``, ``duration``, ``time``, ``ms``,
     …) must use the ``_seconds`` suffix and record seconds; a gauge
     whose name mentions a byte quantity (``mb``, ``mem``, ``rss``, …)
@@ -465,7 +465,7 @@ def check_metric_naming(ctx: FileContext) -> list[Finding]:
                     name_arg,
                     f"duration histogram {name!r} must record seconds under "
                     "a `_seconds`-suffixed name; unit-ambiguous duration "
-                    "names cannot be read off the /metrics exposition",
+                    "names cannot be read off --metrics-out or a run report",
                 )
             )
         elif (
@@ -479,7 +479,7 @@ def check_metric_naming(ctx: FileContext) -> list[Finding]:
                     name_arg,
                     f"byte gauge {name!r} must record bytes under a "
                     "`_bytes`-suffixed name; unit-ambiguous size names "
-                    "cannot be read off the /metrics exposition",
+                    "cannot be read off --metrics-out or a run report",
                 )
             )
     return findings

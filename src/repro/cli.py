@@ -101,23 +101,6 @@ def _telemetry_parser() -> argparse.ArgumentParser:
         help="emit structured JSON log lines instead of the text format",
     )
     group.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve live telemetry over HTTP on this port (/metrics "
-             "Prometheus exposition, /metrics.json, /healthz, /trace); "
-             "0 binds an ephemeral port, printed on stderr",
-    )
-    group.add_argument(
-        "--sample-interval", type=_positive(float), default=1.0,
-        metavar="SECONDS",
-        help="resource sampler + live worker-snapshot cadence when "
-             "--serve-metrics is active (default 1.0)",
-    )
-    group.add_argument(
-        "--flight-dir", metavar="DIR", default=None,
-        help="enable the flight recorder: keep a ring of recent spans "
-             "and dump a JSON bundle to DIR on SIGUSR2 or a crash",
-    )
-    group.add_argument(
         "--provenance-out", metavar="PATH", default=None,
         help="capture a per-mention decision record for every prediction "
              "and write them as JSONL (query with `repro explain`)",
@@ -136,14 +119,12 @@ def _cascade_parser() -> argparse.ArgumentParser:
              "escalate only the rest to the model (docs/CASCADE.md)",
     )
     group.add_argument(
-        "--cascade-margin", type=float, default=defaults.margin,
-        metavar="M",
+        "--cascade-margin", type=float, default=None, metavar="M",
         help="minimum top-vs-runner-up normalized prior gap for a tier-0 "
              f"answer (default {defaults.margin})",
     )
     group.add_argument(
-        "--cascade-prior-mass", type=float, default=defaults.prior_mass,
-        metavar="P",
+        "--cascade-prior-mass", type=float, default=None, metavar="P",
         help="minimum normalized prior mass on the top candidate for a "
              f"tier-0 answer (default {defaults.prior_mass})",
     )
@@ -154,11 +135,36 @@ def _cascade_policy(args: argparse.Namespace) -> CascadePolicy | None:
     """The CascadePolicy requested on the command line, or None."""
     if not getattr(args, "cascade", False):
         return None
+    given = {"margin": args.cascade_margin, "prior_mass": args.cascade_prior_mass}
     policy = CascadePolicy(
-        margin=args.cascade_margin, prior_mass=args.cascade_prior_mass
+        **{field: value for field, value in given.items() if value is not None}
     )
     policy.validate()
     return policy
+
+
+# --keep-percent's default, the paper's k.
+_KEEP_PERCENT = 10.0
+
+# Flags that take effect under one backend only, and the flag that turns
+# it on; given without it they would be silently ignored.
+_BACKEND_FLAGS = {
+    "keep_percent": "--store tiered",
+    "store_dir": "--store mmap",
+    "store_budget_mb": "--store mmap",
+    "cascade_margin": "--cascade",
+    "cascade_prior_mass": "--cascade",
+}
+
+
+def _check_backend_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2, naming the flag it needs, on a backend flag given alone."""
+    backends = {f"--store {getattr(args, 'store', None)}"}
+    if getattr(args, "cascade", False):
+        backends.add("--cascade")
+    for dest, needs in _BACKEND_FLAGS.items():
+        if getattr(args, dest, None) is not None and needs not in backends:
+            parser.error(f"--{dest.replace('_', '-')} requires {needs}")
 
 
 def _store_parser() -> argparse.ArgumentParser:
@@ -177,9 +183,9 @@ def _store_parser() -> argparse.ArgumentParser:
              "required with --store mmap, written on first use",
     )
     group.add_argument(
-        "--keep-percent", type=float, default=10.0, metavar="K",
+        "--keep-percent", type=float, default=None, metavar="K",
         help="with --store tiered: keep full-precision payload rows for "
-             "the top K%% entities by popularity (default 10)",
+             f"the top K%% entities by popularity (default {_KEEP_PERCENT:g})",
     )
     group.add_argument(
         "--store-budget-mb", type=_positive(float), default=None,
@@ -232,62 +238,30 @@ def _configure_store(model, args: argparse.Namespace, entity_counts) -> None:
                 "--store tiered needs entity popularity counts "
                 "(train a checkpoint that records them)"
             )
+        keep_percent = (
+            _KEEP_PERCENT if args.keep_percent is None else args.keep_percent
+        )
         store = TieredPayloadStore.build(
-            planes, np.asarray(entity_counts), args.keep_percent
+            planes, np.asarray(entity_counts), keep_percent
         )
     embedder.attach_payload_store(store)
     print(
         f"entity store: {kind} ({store.resident_bytes() / 2**20:.1f} MiB resident)",
         file=sys.stderr,
     )
-    if getattr(args, "serve_metrics", None) is not None:
-        # Plug the store into the live plane: /healthz readiness and a
-        # sampled store.resident_bytes gauge. Cleaned up in
-        # _teardown_live so a later command in-process starts fresh.
-        from repro.obs import exporter
-        from repro.obs import sampler as sampler_mod
-
-        exporter.health.register("store", store.health)
-        try:
-            _LIVE["store_health"] = store.health
-            _LIVE["store_gauge"] = sampler_mod.register_gauge_source(
-                "store.resident_bytes", store.resident_bytes
-            )
-        except BaseException:
-            exporter.health.unregister("store", store.health)
-            raise
-
-
-# Live telemetry plane state for the duration of one CLI command:
-# the HTTP server, the resource sampler, the flight recorder, and any
-# registration tokens that must be released at exit.
-_LIVE: dict[str, object] = {}
-
-
-def _pool_interval(args: argparse.Namespace) -> float | None:
-    """Worker snapshot cadence: match the sampler when serving live.
-
-    Without ``--serve-metrics`` the pool keeps its default cadence —
-    nothing scrapes mid-run, so there is no reason to ship faster.
-    """
-    if getattr(args, "serve_metrics", None) is not None:
-        return args.sample_interval
-    return None
 
 
 def _records_telemetry(args: argparse.Namespace) -> bool:
     """Whether the command's flags turn ``repro.obs`` recording on.
 
-    Run reports and the live plane bundle or serve the metrics
-    snapshot, so they record even without ``--metrics-out``. One
-    predicate for setup and export, so whatever turns recording on
-    also turns it off again.
+    Run reports bundle the metrics snapshot, so they record even
+    without ``--metrics-out``. One predicate for setup and export, so
+    whatever turns recording on also turns it off again.
     """
     return bool(
         args.metrics_out or args.trace_out
         or getattr(args, "report_out", None)
         or getattr(args, "report_html", None)
-        or args.serve_metrics is not None or args.flight_dir
         or args.provenance_out
     )
 
@@ -296,7 +270,6 @@ def _setup_telemetry(args: argparse.Namespace) -> None:
     if args.log_level is not None or args.json_logs:
         level = parse_level(args.log_level or "info")
         enable_console_logging(level, json_logs=args.json_logs)
-    serving = args.serve_metrics is not None
     if _records_telemetry(args):
         obs.reset()
         obs.enable()
@@ -305,62 +278,9 @@ def _setup_telemetry(args: argparse.Namespace) -> None:
         # file once, at the end of the command.
         provenance.reset()
         provenance.enable()
-    if serving:
-        from repro.obs.exporter import TelemetryServer
-        from repro.obs.sampler import ResourceSampler
-
-        try:
-            server = TelemetryServer(port=args.serve_metrics).start()
-            _LIVE["server"] = server
-            _LIVE["sampler"] = ResourceSampler(
-                interval=args.sample_interval
-            ).start()
-        except BaseException:
-            # A sampler that fails to start must not strand the
-            # already-started HTTP server (and its thread) for the rest
-            # of the process.
-            _teardown_live()
-            raise
-        print(f"telemetry endpoint at {server.url}/metrics", file=sys.stderr)
-    if args.flight_dir:
-        from repro.obs.flight import FlightRecorder
-
-        try:
-            recorder = FlightRecorder(dump_dir=args.flight_dir).attach()
-            _LIVE["flight"] = recorder
-            recorder.install_signal_handler()
-            recorder.install_crash_handler()
-        except BaseException:
-            _teardown_live()
-            raise
-
-
-def _teardown_live() -> None:
-    recorder = _LIVE.pop("flight", None)
-    if recorder is not None:
-        recorder.uninstall_crash_handler()
-        recorder.uninstall_signal_handler()
-        recorder.detach()
-    sampler = _LIVE.pop("sampler", None)
-    if sampler is not None:
-        sampler.stop()
-    server = _LIVE.pop("server", None)
-    if server is not None:
-        server.stop()
-    token = _LIVE.pop("store_gauge", None)
-    if token is not None:
-        from repro.obs import sampler as sampler_mod
-
-        sampler_mod.unregister_gauge_source(token)
-    probe = _LIVE.pop("store_health", None)
-    if probe is not None:
-        from repro.obs import exporter
-
-        exporter.health.unregister("store", probe)
 
 
 def _export_telemetry(args: argparse.Namespace) -> None:
-    _teardown_live()
     if args.metrics_out:
         obs.metrics.export_json(args.metrics_out)
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
@@ -532,11 +452,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.workers > 1:
         from repro.parallel import AnnotatorPool
 
-        # Closing the pool merges the workers' last shipments, so every
-        # decision record is in before slices are attached below.
-        with AnnotatorPool.from_annotator(
-            annotator, args.workers, telemetry_interval=_pool_interval(args)
-        ) as pool:
+        # Each task's reply carries its decision records, so every one
+        # is in by the time the call returns, before slices are attached
+        # below.
+        with AnnotatorPool.from_annotator(annotator, args.workers) as pool:
             records = pool.predict_sentences(sentences)
     else:
         records = annotator.predict_sentences(sentences)
@@ -1065,10 +984,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_backend_flags(parser, args)
     try:
-        # Inside the try so a setup failure still runs _export_telemetry's
-        # live-plane teardown (in-process callers would otherwise
-        # accumulate servers/samplers from half-initialized commands).
+        # Inside the try so a setup failure is reported like any other
+        # and leaves recording off for in-process callers.
         _setup_telemetry(args)
         return args.func(args)
     except ReproError as error:

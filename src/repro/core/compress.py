@@ -16,6 +16,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.store.tiered import top_k_split
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,7 +44,8 @@ def compression_stats(model, keep_percent: float) -> CompressionStats:
     """Memory accounting for a given keep percentage (float32 MB)."""
     table = _entity_table(model)
     total, dim = table.weight.data.shape
-    kept = int(round(total * keep_percent / 100.0))
+    # The head's size depends only on the row count, not on the counts.
+    kept = int(top_k_split(np.zeros(total), keep_percent)[0].sum())
     full_mb = total * dim * 4 / 2**20
     return CompressionStats(
         keep_percent=keep_percent,
@@ -78,21 +80,12 @@ def compressed_embeddings(
             f"entity_counts length {counts.shape[0]} does not match table rows "
             f"{weight.shape[0]}"
         )
-    rng = rng or np.random.default_rng(0)
     stats = compression_stats(model, keep_percent)
-    order = np.argsort(-counts, kind="stable")
-    kept_ids = set(int(i) for i in order[: stats.kept_rows])
-    unseen_ids = np.flatnonzero(counts == 0)
-    if len(unseen_ids):
-        replacement = weight[int(rng.choice(unseen_ids))].copy()
-    else:
-        replacement = np.zeros(weight.shape[1])
+    head, replacement = top_k_split(counts, keep_percent, rng)
     embedder = getattr(model, "embedder", None)
     original = weight.copy()
     try:
-        for row in range(weight.shape[0]):
-            if row not in kept_ids:
-                weight[row] = replacement
+        weight[~head] = 0.0 if replacement is None else original[replacement]
         # The static payload cache bakes in the entity rows; a stale
         # cache would make compression a silent no-op during eval.
         if embedder is not None:

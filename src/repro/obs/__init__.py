@@ -17,15 +17,9 @@ Typical use::
 
 The CLI wires this up via ``--metrics-out`` / ``--trace-out``; tests use
 :func:`scope` to enable against fresh instruments and restore the
-previous state on exit.
-
-The *live* telemetry plane — :class:`TelemetryServer` (``/metrics`` +
-``/healthz`` HTTP endpoints), :class:`ResourceSampler` (periodic /proc
-gauges), and :class:`FlightRecorder` (bounded ring of recent spans with
-SIGUSR2/crash dump) — is exported lazily via module ``__getattr__`` so
-importing ``repro.obs`` never pulls in ``http.server`` unless the live
-plane is actually used. The CLI wires those up via ``--serve-metrics``
-/ ``--sample-interval`` / ``--flight-dir``.
+previous state on exit. Telemetry leaves a run only as these files,
+written once at exit; pool workers hand what they record to the owner
+inside each task reply (:mod:`repro.obs.aggregate`).
 
 Per-mention decision provenance lives in :mod:`repro.obs.provenance`
 (imported as a plain submodule — it is stdlib-light and safe on the hot
@@ -70,37 +64,7 @@ __all__ = [
     "scope",
     "metrics",
     "tracer",
-    # Lazy (module __getattr__): the live telemetry plane.
-    "TelemetryServer",
-    "HealthRegistry",
-    "render_prometheus",
-    "ResourceSampler",
-    "FlightRecorder",
 ]
-
-# Lazy exports keep http.server/signal machinery out of the import path
-# of instrumented hot loops; resolved on first attribute access.
-_LAZY = {
-    "TelemetryServer": ("repro.obs.exporter", "TelemetryServer"),
-    "HealthRegistry": ("repro.obs.exporter", "HealthRegistry"),
-    "render_prometheus": ("repro.obs.exporter", "render_prometheus"),
-    "ResourceSampler": ("repro.obs.sampler", "ResourceSampler"),
-    "FlightRecorder": ("repro.obs.flight", "FlightRecorder"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
 
 # The one-attribute-check guard. Instrumented hot loops read this
 # directly (``if obs.enabled:``); everything else is behind it.
@@ -115,12 +79,12 @@ _NULL_CONTEXT = nullcontext()
 def _unheld_locks_in_child() -> None:
     """Give a forked child fresh instrument locks.
 
-    ``fork()`` copies only the forking thread. A lock another owner
-    thread held at that moment (the ``--serve-metrics`` server during a
-    scrape, the sampler creating a per-pid gauge) would stay held in
-    the child forever, and a pool worker's ``obs.reset()`` or first
-    root span would wait on it. The maps the locks guard are consistent
-    in the child: the forking thread held the GIL.
+    ``fork()`` copies only the forking thread. A lock another thread of
+    the caller held at that moment (creating a metric, opening a root
+    span) would stay held in the child forever, and a pool worker's
+    ``obs.reset()`` or first root span would wait on it. The maps the
+    locks guard are consistent in the child: the forking thread held
+    the GIL.
     """
     metrics._lock = threading.Lock()
     tracer._lock = threading.Lock()

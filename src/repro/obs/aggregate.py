@@ -5,23 +5,24 @@ singletons and provenance recorder; without aggregation everything it
 observed would die with the child process. This module is both ends of
 the exchange:
 
-- the **worker** calls :func:`take_shipment` to package what it
-  recorded *since its last shipment* — metric deltas, closed spans and
-  decision records — into one picklable dict, and clears that state,
-  so consecutive shipments are disjoint;
-- the **owner** calls :func:`merge_telemetry` on each shipment as soon
-  as it arrives, folding counters/gauges/histograms into the global
+- the **worker** calls :func:`take_shipment` after each task to package
+  what the task recorded — metric deltas, closed spans and decision
+  records — into one picklable dict, and clears that state, so
+  consecutive shipments are disjoint; the shipment rides inside the
+  task's reply;
+- the **owner** calls :func:`merge_telemetry` on each shipment as it
+  reads the reply, folding counters/gauges/histograms into the global
   registry under re-labeled keys (``parallel.pool.chunk_seconds`` →
   ``…{worker=3}``), grafting the spans — with their real pid/tid —
   into the global tracer, and storing the decision records in the
   provenance recorder stamped with the worker's rank.
 
-Because shipments are disjoint, merging each one exactly once keeps the
-owner exact up to the last shipment it read: counters and histogram
-count, sum, min and max equal what the workers shipped, and nothing is
-held per worker on the owner side. The heavy lifting (reservoir merging,
-key re-labeling, span rehydration, keyed records) lives on
-:class:`~repro.obs.metrics.MetricsRegistry`,
+Because shipments are disjoint and each reply is read once, the owner
+holds a task's telemetry as soon as it holds the task's result:
+counters and histogram count, sum, min and max equal what the workers
+recorded, and nothing is held per worker on the owner side. The heavy
+lifting (reservoir merging, key re-labeling, span rehydration, keyed
+records) lives on :class:`~repro.obs.metrics.MetricsRegistry`,
 :class:`~repro.obs.trace.SpanTracer` and :mod:`repro.obs.provenance`.
 """
 

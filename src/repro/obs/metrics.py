@@ -266,9 +266,8 @@ class MetricsRegistry:
     def to_dict(self) -> dict:
         """Snapshot of every instrument, JSON-serializable.
 
-        Taken under the creation lock so a live scrape (the telemetry
-        endpoint's server thread) never iterates the instrument maps
-        while the recording thread is inserting a new instrument.
+        Taken under the creation lock so it never iterates the
+        instrument maps while another thread inserts a new instrument.
         """
         with self._lock:
             return {
@@ -285,8 +284,7 @@ class MetricsRegistry:
         Unlike :meth:`to_dict` (a human/JSON summary), the snapshot
         carries full histogram reservoirs so :meth:`merge` can combine
         registries from different processes without losing quantile
-        information. Locked like :meth:`to_dict` so concurrent scrapes
-        are safe against instrument creation.
+        information. Locked like :meth:`to_dict`.
         """
         with self._lock:
             return {

@@ -20,11 +20,11 @@ sentence id). Slices are stamped on by the owner after scoring, and
 end of the run.
 
 Cross-process semantics follow :mod:`repro.obs.aggregate`: pool workers
-capture into their own recorders, and every telemetry shipment drains
-what was recorded since the last one. The owner stores the shipped rows
-stamped with the worker's rank. A pooled call makes and records every
-decision in a worker, tier 0 included; the owner only attaches slices,
-once the pool has closed and every shipment is in.
+capture into their own recorders, and each task's reply carries the
+records that task made. The owner stores the shipped rows stamped with
+the worker's rank as it reads the reply. A pooled call makes and
+records every decision in a worker, tier 0 included; the owner only
+attaches slices, once the call has returned with every record in.
 
 Lint rule RA613 confines :class:`DecisionRecord` to ``repro.obs``, and
 RA401 keeps every ``record_*`` capture call behind ``obs.enabled``, the
@@ -231,7 +231,7 @@ def export_jsonl(path: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Query side: `repro explain`, /provenance, report drill-down.
+# Query side: `repro explain` and the report drill-down.
 def load_jsonl(path: str) -> list[DecisionRecord]:
     records: list[DecisionRecord] = []
     try:

@@ -63,9 +63,6 @@ class SpanTracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
-        # Close listeners (the flight recorder's ring buffer); configured
-        # wiring, so reset() leaves them attached.
-        self._listeners: list = []
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -89,24 +86,6 @@ class SpanTracer:
         finally:
             record.end = time.perf_counter()
             stack.pop()
-            for listener in self._listeners:
-                try:
-                    listener(record)
-                except Exception:  # pragma: no cover - listeners must
-                    pass           # never break the traced code
-
-    def add_listener(self, listener) -> None:
-        """Call ``listener(span)`` as each span closes (newest first in
-        no particular order across threads); idempotent per listener."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        """Detach a close listener; missing listeners are ignored."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     @property
     def roots(self) -> list[Span]:

@@ -15,6 +15,9 @@ work out to N worker processes that share one copy of the heavy state:
   and reassembles results in input order; each worker answers on its
   own result channel, so a worker that dies part-way through a reply
   cannot block the others;
+- when observing, each task's reply carries what the task recorded
+  (metrics, spans, decision records), merged into the owner as the
+  reply is read, so a call's worker telemetry is in when it returns;
 - a crashed worker is respawned and its in-flight tasks are retried
   once before a structured :class:`~repro.errors.ParallelError` is
   raised.
@@ -74,11 +77,8 @@ _MAX_RETRIES = 1
 # parallel path and falling back to serial execution.
 _STARTUP_TIMEOUT = 60.0
 _RESULT_POLL_SECONDS = 0.2
-# Seconds to wait at shutdown for the workers' final shipments.
-_TELEMETRY_TIMEOUT = 10.0
-# Seconds between worker telemetry shipments (0 ships after every task
-# — used by deterministic tests).
-_DEFAULT_TELEMETRY_INTERVAL = 2.0
+# Seconds to read the channels at shutdown while the workers exit.
+_SHUTDOWN_TIMEOUT = 10.0
 
 _ENV_START_METHOD = "REPRO_PARALLEL_START_METHOD"
 
@@ -122,12 +122,9 @@ class WorkerSpec:
     # plain picklable dataclass, workers rebuild their own Tier0Linker.
     cascade: object | None
     # Captured from obs.enabled when the pool starts: workers run a
-    # process-local obs scope around chunk execution and ship what they
-    # recorded since their last shipment back over their result channel —
-    # every telemetry_interval seconds while work flows, and once more
-    # (marked ``final``) at shutdown.
+    # process-local obs scope around task execution and ship what each
+    # task recorded inside its reply.
     observe: bool
-    telemetry_interval: float
     # Captured from provenance.active when the pool starts: workers
     # record into a process-local provenance recorder, drained into the
     # same shipments; the owner stores the rows under worker={rank}.
@@ -272,7 +269,9 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
 
     ``results`` is the write end of this worker's own result channel;
     every message is written whole by this thread, so no lock is shared
-    with another process.
+    with another process. A message is ``(status, rank, task_id,
+    payload, seconds, shipment)``: the shipment is what the task
+    recorded when observing (:func:`take_shipment`), else ``None``.
     """
     # Fresh telemetry state: under fork the child inherits the parent's
     # recorded metrics and enabled flag, which must not leak into (or be
@@ -283,7 +282,9 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
     try:
         runtime = _WorkerRuntime(spec)
     except BaseException:
-        results.send(("init_error", worker_id, -1, traceback.format_exc(), 0.0))
+        results.send(
+            ("init_error", worker_id, -1, traceback.format_exc(), 0.0, None)
+        )
         return
     if spec.observe:
         # Worker-side obs scope: chunk execution records into this
@@ -294,38 +295,13 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
         if spec.provenance:
             # Records ship to the owner, which writes the audit.
             provenance.enable()
-    results.send(("ready", worker_id, -1, None, 0.0))
-    # Shipping state. Each shipment carries what was recorded since the
-    # previous one, so ``dirty`` skips empty shipments: an idle worker
-    # stays quiet until it records something new.
-    ship_interval = max(0.0, float(spec.telemetry_interval))
-    last_ship = time.monotonic()
-    dirty = False
-
-    def _ship(final: bool = False) -> None:
-        nonlocal last_ship, dirty
-        shipment = take_shipment()
-        shipment["final"] = final
-        results.send(("telemetry", worker_id, -1, shipment, 0.0))
-        last_ship = time.monotonic()
-        dirty = False
-
+    observing = obs.enabled
+    results.send(("ready", worker_id, -1, None, 0.0, None))
     while True:
-        if spec.observe:
-            try:
-                task = tasks.get(
-                    timeout=max(ship_interval, _RESULT_POLL_SECONDS)
-                )
-            except _queue.Empty:
-                if dirty:
-                    _ship()
-                continue
-        else:
-            task = tasks.get()
+        task = tasks.get()
         if task is None:
             break
         task_id, kind, payload = task
-        observing = obs.enabled
         start = time.perf_counter()
         try:
             with obs.span("parallel.pool.chunk", task=task_id, kind=kind):
@@ -333,29 +309,19 @@ def _worker_main(worker_id: int, spec: WorkerSpec, tasks, results) -> None:
         except BaseException:
             if observing:
                 obs.metrics.counter("parallel.pool.chunk_errors").inc()
-                dirty = True
-            reply = ("error", worker_id, task_id, traceback.format_exc(), 0.0)
+            status, outcome, elapsed = "error", traceback.format_exc(), 0.0
         else:
-            elapsed = time.perf_counter() - start
+            status, elapsed = "ok", time.perf_counter() - start
             if observing:
                 obs.metrics.counter("parallel.pool.chunks").inc()
                 obs.metrics.histogram("parallel.pool.chunk_seconds").observe(
                     elapsed
                 )
-                dirty = True
-            reply = ("ok", worker_id, task_id, outcome, elapsed)
-        if dirty and time.monotonic() - last_ship >= ship_interval:
-            # Ship before the result: the owner stops reading once the
-            # last result of a call arrives, so a shipment queued after
-            # it would leave owner state missing this task until the
-            # next call.
-            _ship()
+        shipment = take_shipment() if observing else None
+        reply = (status, worker_id, task_id, outcome, elapsed, shipment)
         if kind == "die_mid_reply":
             _die_mid_reply(results, reply)
         results.send(reply)
-    if spec.observe:
-        obs.disable()
-        _ship(final=True)
 
 
 # ----------------------------------------------------------------------
@@ -384,16 +350,10 @@ class AnnotatorPool:
         workers: int,
         *,
         start_method: str | None = None,
-        telemetry_interval: float | None = None,
     ) -> None:
         from repro.nn.tensor import get_compute_dtype
 
         self.workers = max(int(workers), 0)
-        self.telemetry_interval = (
-            _DEFAULT_TELEMETRY_INTERVAL
-            if telemetry_interval is None
-            else max(0.0, float(telemetry_interval))
-        )
         self._annotator = annotator
         self._compute = np.dtype(get_compute_dtype())
         self._start_method = start_method or default_start_method()
@@ -407,9 +367,6 @@ class AnnotatorPool:
         self._channels: dict[int, object] = {}
         self._inbox: collections.deque = collections.deque()
         self._closed = False
-        # Sampler/health registrations held while open and observed.
-        self._pids_token: int | None = None
-        self._health_registry = None
         self.serial = True
         if self.workers > 1 and shared_memory_available():
             try:
@@ -434,15 +391,9 @@ class AnnotatorPool:
         annotator,
         workers: int,
         start_method: str | None = None,
-        telemetry_interval: float | None = None,
     ) -> "AnnotatorPool":
         """Pool sharing the payloads of an existing serial annotator."""
-        return cls(
-            annotator,
-            workers,
-            start_method=start_method,
-            telemetry_interval=telemetry_interval,
-        )
+        return cls(annotator, workers, start_method=start_method)
 
     def _build_spec(self) -> WorkerSpec:
         annotator = self._annotator
@@ -474,7 +425,6 @@ class AnnotatorPool:
             batch_size=annotator.batch_size,
             cascade=annotator.cascade,
             observe=obs.enabled,
-            telemetry_interval=self.telemetry_interval,
             provenance=obs.enabled and provenance.active,
         )
 
@@ -489,7 +439,6 @@ class AnnotatorPool:
         for worker_id in range(self.workers):
             self._spawn_worker(worker_id)
         self._await_ready(range(self.workers))
-        self._register_live()
 
     def _spawn_worker(self, worker_id: int) -> None:
         """Start worker ``worker_id`` with a fresh result channel.
@@ -525,9 +474,12 @@ class AnnotatorPool:
     def _read(self, worker_id: int) -> list[tuple]:
         """Every whole message waiting on ``worker_id``'s channel.
 
-        A channel that reads as closed (the worker exited), or that
-        ends inside a message (the worker died mid-reply), is closed:
-        nothing more can arrive on it.
+        This is the one place a message comes off a channel, so each
+        reply's telemetry shipment is merged here, exactly once, under
+        the worker's rank: it counts whether or not its result is still
+        wanted. A channel that reads as closed (the worker exited), or
+        that ends inside a message (the worker died mid-reply), is
+        closed: nothing more can arrive on it.
         """
         channel = self._channels.get(worker_id)
         messages: list[tuple] = []
@@ -535,7 +487,10 @@ class AnnotatorPool:
             return messages
         try:
             while channel.poll():
-                messages.append(channel.recv())
+                message = channel.recv()
+                if message[-1] is not None:
+                    merge_telemetry(message[-1], worker=worker_id)
+                messages.append(message[:-1])
         except (EOFError, OSError):
             self._close_channel(worker_id)
         return messages
@@ -582,9 +537,6 @@ class AnnotatorPool:
                 raise ParallelError(f"worker {worker_id} failed to start:\n{payload}")
             if status == "ready":
                 pending.discard(worker_id)
-            elif status == "telemetry":
-                # Every shipment is merged once, wherever it is read.
-                merge_telemetry(payload, worker=worker_id)
 
     # -- dispatch -------------------------------------------------------
     def _execute(self, tasks: list[_Task]) -> list:
@@ -621,7 +573,6 @@ class AnnotatorPool:
                     continue
                 results[task_id] = payload
                 outstanding -= 1
-                self._beat()
                 if observing:
                     obs.metrics.histogram("parallel.pool.chunk_seconds").observe(
                         elapsed
@@ -638,10 +589,6 @@ class AnnotatorPool:
                 outstanding -= 1
                 if observing:
                     obs.metrics.counter("parallel.pool.task_failures").inc()
-            elif status == "telemetry":
-                merge_telemetry(payload, worker=worker_id)
-                self._beat()
-                continue
             elif status == "init_error":
                 # A respawned worker failed to reinitialize; everything
                 # assigned to it is undeliverable.
@@ -668,11 +615,9 @@ class AnnotatorPool:
         """Respawn workers that died between dispatch calls."""
         for worker_id, process in enumerate(self._procs):
             if process is not None and not process.is_alive():
-                # Shipments it left behind still count; stale results
-                # do not.
-                for status, _, _, payload, _ in self._read(worker_id):
-                    if status == "telemetry":
-                        merge_telemetry(payload, worker=worker_id)
+                # Reading merges the telemetry of replies it left
+                # behind; their results belong to a call that returned.
+                self._read(worker_id)
                 logger.warning(
                     "worker %d found dead (exit code %s); respawning",
                     worker_id, process.exitcode,
@@ -738,58 +683,13 @@ class AnnotatorPool:
                     obs.metrics.counter("parallel.pool.retries").inc()
         return abandoned
 
-    # -- live telemetry plane -------------------------------------------
-    def _register_live(self) -> None:
-        """Plug this pool into the sampler and health registries.
-
-        Only while observing — a non-observed pool ships no telemetry,
-        so registering would only pull in ``http.server`` for nothing.
-        Lazy imports keep the exporter out of plain pool usage.
-        """
-        if self._spec is None or not self._spec.observe:
-            return
-        from repro.obs import exporter, sampler
-
-        self._pids_token = sampler.register_pids_provider(self.worker_pids)
-        exporter.health.register("pool", self.health)
-        self._health_registry = exporter.health
-        self._health_registry.beat("pool")
-
-    def _unregister_live(self) -> None:
-        if self._health_registry is None:
-            return
-        from repro.obs import sampler
-
-        if self._pids_token is not None:
-            sampler.unregister_pids_provider(self._pids_token)
-            self._pids_token = None
-        self._health_registry.unregister("pool", self.health)
-        self._health_registry = None
-
-    def _beat(self) -> None:
-        if self._health_registry is not None:
-            self._health_registry.beat("pool")
-
     def worker_pids(self) -> list[int]:
-        """Pids of currently live workers (for the resource sampler)."""
+        """Pids of currently live workers."""
         return [
             process.pid
             for process in self._procs
             if process is not None and process.is_alive()
         ]
-
-    def health(self) -> dict:
-        """Readiness probe for /healthz: every worker process alive."""
-        if self.serial:
-            return {"ok": not self._closed, "serial": True, "workers": 0}
-        expected = sum(1 for p in self._procs if p is not None)
-        alive = len(self.worker_pids())
-        return {
-            "ok": not self._closed and expected > 0 and alive == expected,
-            "serial": False,
-            "workers": expected,
-            "workers_alive": alive,
-        }
 
     # -- public API -----------------------------------------------------
     def annotate_batch(
@@ -913,7 +813,6 @@ class AnnotatorPool:
         self._teardown()
 
     def _teardown(self) -> None:
-        self._unregister_live()
         for worker_id, process in enumerate(self._procs):
             if process is None:
                 continue
@@ -921,7 +820,7 @@ class AnnotatorPool:
                 self._task_queues[worker_id].put(None)
             except (OSError, ValueError):  # pragma: no cover - queue gone
                 pass
-        self._drain_final_shipments()
+        self._drain_channels()
         for process in self._procs:
             if process is None:
                 continue
@@ -941,26 +840,20 @@ class AnnotatorPool:
             self._store.close(unlink=True)
             self._store = None
 
-    def _drain_final_shipments(self) -> None:
-        """Read every channel until its worker exits, merging shipments.
+    def _drain_channels(self) -> None:
+        """Read every channel until its worker exits.
 
-        Workers ship one ``final``-marked ``("telemetry", rank, ...)``
-        message right after the shutdown sentinel, then exit, which
-        closes their channel. Everything a worker shipped was merged
-        when it arrived, so a worker that crashed without a final
-        shipment contributes exactly what it shipped before dying.
-        Late "ok"/"error"/"ready" stragglers are dropped: their dispatch
-        call has already returned. Reading also unblocks a worker whose
-        last reply still fills its channel.
+        A worker exits on the shutdown sentinel, which closes its
+        channel. Reading unblocks a worker whose last reply still fills
+        its channel and merges the telemetry of replies no call waited
+        for (a retried task's duplicate); their results are dropped.
         """
-        deadline = time.monotonic() + _TELEMETRY_TIMEOUT
-        while (self._channels or self._inbox) and time.monotonic() < deadline:
+        deadline = time.monotonic() + _SHUTDOWN_TIMEOUT
+        while self._channels and time.monotonic() < deadline:
             try:
-                status, worker_id, _, payload, _ = self._get(_RESULT_POLL_SECONDS)
+                self._get(_RESULT_POLL_SECONDS)
             except _queue.Empty:
-                continue
-            if status == "telemetry":
-                merge_telemetry(payload, worker=worker_id)
+                pass
 
     def __enter__(self) -> "AnnotatorPool":
         return self

@@ -107,19 +107,6 @@ class EntityPayloadStore:
         """Bytes of payload currently resident (attached) in memory."""
         raise NotImplementedError
 
-    def health(self) -> dict:
-        """Readiness probe for the /healthz endpoint.
-
-        Backends override to add their own readiness signals (the mmap
-        store reports attached shards and budget pressure); the base
-        contract is an ``ok`` flag plus identity and residency.
-        """
-        return {
-            "ok": True,
-            "kind": self.kind,
-            "resident_bytes": self.resident_bytes(),
-        }
-
     def close(self) -> None:
         """Release any attached resources; the store becomes unusable."""
 

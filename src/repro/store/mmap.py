@@ -258,27 +258,6 @@ class ShardedMmapStore(EntityPayloadStore):
     def attached_shards(self) -> int:
         return len(self._lru)
 
-    def health(self) -> dict:
-        """Readiness + residency/budget pressure for /healthz.
-
-        ``over_budget`` is informational, not a failure: a single shard
-        larger than the budget legitimately pins residency above it
-        (the LRU always keeps the shard being read), and flapping
-        /healthz on that would page someone for normal operation.
-        """
-        over_budget = (
-            self.memory_budget_bytes is not None
-            and self._resident > self.memory_budget_bytes
-        )
-        return {
-            "ok": not self._closed,
-            "kind": self.kind,
-            "resident_bytes": self._resident,
-            "attached_shards": self.attached_shards(),
-            "memory_budget_bytes": self.memory_budget_bytes,
-            "over_budget": over_budget,
-        }
-
     def _set_resident(self, value: int) -> None:
         self._resident = value
         if obs.enabled:

@@ -19,9 +19,8 @@ tail (everything else)
     does to the embedding table, so a tiered gather agrees with
     compress-then-dense up to the uint8 quantization error.
 
-The replacement entity is chosen exactly as ``compressed_embeddings``
-chooses it (same default rng, same unseen-entity pool) so the two code
-paths compress onto the same shared vector.
+Both code paths take the head/tail split and the replacement entity
+from :func:`top_k_split`, so they compress onto the same shared vector.
 """
 
 from __future__ import annotations
@@ -41,6 +40,29 @@ _COMPONENTS = (
     "tail_min",
     "shared_entity",
 )
+
+
+def top_k_split(
+    entity_counts: np.ndarray,
+    keep_percent: float,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, int | None]:
+    """The paper's top-k% decision: ``(head, replacement)``.
+
+    ``head`` is a boolean mask over the rows marking the top
+    ``keep_percent``% by count (ties go to the lower id); every other
+    row takes on the replacement entity, an unseen one (count 0) drawn
+    from ``rng`` (default ``default_rng(0)``), or ``None`` when every
+    entity was seen. Callers validate ``keep_percent`` themselves.
+    """
+    counts = np.asarray(entity_counts)
+    kept = int(round(counts.shape[0] * keep_percent / 100.0))
+    head = np.zeros(counts.shape[0], dtype=bool)
+    head[np.argsort(-counts, kind="stable")[:kept]] = True
+    unseen = np.flatnonzero(counts == 0)
+    rng = rng or np.random.default_rng(0)
+    replacement = int(rng.choice(unseen)) if len(unseen) else None
+    return head, replacement
 
 
 class TieredPayloadStore(EntityPayloadStore):
@@ -104,21 +126,16 @@ class TieredPayloadStore(EntityPayloadStore):
                 f"{total} payload rows"
             )
         dtype = static.dtype
-        # Head/tail split and replacement choice mirror
-        # compressed_embeddings verbatim so both paths agree.
-        kept = int(round(total * keep_percent / 100.0))
-        order = np.argsort(-counts, kind="stable")
-        head_ids = np.sort(order[:kept]).astype(np.int64)
-        rng = rng or np.random.default_rng(0)
-        unseen_ids = np.flatnonzero(counts == 0)
-        if len(unseen_ids):
-            shared_entity = entity_part[int(rng.choice(unseen_ids))].astype(dtype).copy()
-        else:
+        head, replacement = top_k_split(counts, keep_percent, rng)
+        if replacement is None:
             shared_entity = np.zeros(dim, dtype=dtype)
+        else:
+            shared_entity = entity_part[replacement].astype(dtype).copy()
 
+        head_ids = np.flatnonzero(head)
+        tail_ids = np.flatnonzero(~head)
         head_slot = np.full(total, -1, dtype=np.int32)
         head_slot[head_ids] = np.arange(head_ids.shape[0], dtype=np.int32)
-        tail_ids = np.flatnonzero(head_slot < 0)
         tail_slot = np.full(total, -1, dtype=np.int32)
         tail_slot[tail_ids] = np.arange(tail_ids.shape[0], dtype=np.int32)
 

@@ -154,9 +154,6 @@ def test_iter_python_files_skips_pycache_and_dedupes_symlinks(tmp_path):
     "filename, rule",
     [
         ("ra701_shm_leak.py", "RA701"),
-        ("ra702_server_leak.py", "RA702"),
-        ("ra703_sampler_leak.py", "RA703"),
-        ("ra704_health_leak.py", "RA704"),
         ("ra705_memmap_leak.py", "RA705"),
         ("ra706_open_no_with.py", "RA706"),
     ],

@@ -415,8 +415,9 @@ class TestCli:
              "--model", "{root}/array.npy", "--text", "w1"],
             ["explain", "{root}/missing.jsonl"],
             ["report", "diff", "{root}/old.json", "{root}/new.json", "--json"],
-            ["generate-world", "--out", "{root}/w.json",
-             "--serve-metrics", "0", "--sample-interval", "0"],
+            ["evaluate", "--world", "{root}/world.json",
+             "--corpus", "{root}/corpus.jsonl", "--model", "{root}/missing.npz",
+             "--cascade-margin", "0.9"],
             ["explain", "{root}/records.jsonl", "--limit", "-1"],
             ["explain", "{root}/records.jsonl", "--limit", "0"],
             ["report", "diff", "{root}/old.json", "{root}/new.json",
@@ -428,7 +429,7 @@ class TestCli:
             "annotate-missing-model", "evaluate-missing-model",
             "model-without-metadata", "model-not-an-npz", "model-is-an-npy",
             "explain-missing-records",
-            "diff-json", "sample-interval-0",
+            "diff-json", "cascade-margin-without-cascade",
             "explain-limit-negative", "explain-limit-0",
             "diff-samples-0", "diff-alpha-2",
         ],
@@ -474,3 +475,34 @@ class TestCli:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (["evaluate", "--keep-percent", "5"], "--store tiered"),
+            (["evaluate", "--store", "mmap", "--keep-percent", "5"],
+             "--store tiered"),
+            (["evaluate", "--store-dir", "d", "--store-budget-mb", "3"],
+             "--store mmap"),
+            (["evaluate", "--store", "tiered", "--store-budget-mb", "3"],
+             "--store mmap"),
+            (["evaluate", "--cascade-margin", "0.9"], "--cascade"),
+            (["annotate", "--cascade-margin", "0.9"], "--cascade"),
+            (["evaluate", "--cascade-prior-mass", "0.9"], "--cascade"),
+            (["annotate", "--cascade-prior-mass", "0.9"], "--cascade"),
+        ],
+        ids=[
+            "keep-percent-dense", "keep-percent-mmap", "store-dir-dense",
+            "store-budget-tiered", "evaluate-margin", "annotate-margin",
+            "evaluate-prior-mass", "annotate-prior-mass",
+        ],
+    )
+    def test_backend_flags_need_their_backend(self, argv, needs, capsys):
+        # A backend flag given while its backend is off would be
+        # silently ignored; it is a usage error naming what it needs.
+        required = {"evaluate": ["--corpus", "c"], "annotate": ["--text", "t"]}
+        argv = argv + ["--world", "w", "--model", "m", *required[argv[0]]]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert f"requires {needs}" in capsys.readouterr().err

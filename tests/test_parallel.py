@@ -2,9 +2,12 @@
 
 The determinism tests are the heart of this module: the pool must be a
 pure throughput optimization, returning byte-identical results to the
-serial path for any worker count and any chunking. ``make check`` runs
-this module a second time under ``REPRO_PARALLEL_START_METHOD=spawn`` to
-enforce the stricter pickling contract.
+serial path for any worker count and any chunking. The telemetry tests
+check that each task's reply carries what the task recorded, so an
+observed call's worker series are exact in the owner when it returns
+and survive a worker killed afterwards. ``make check`` runs this module
+a second time under ``REPRO_PARALLEL_START_METHOD=spawn`` to enforce
+the stricter pickling contract.
 """
 
 import dataclasses
@@ -13,6 +16,8 @@ import os
 import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +43,7 @@ from repro.corpus.tokenizer import tokenize
 from repro.errors import ConfigError, ParallelError
 from repro.kb import WorldConfig, generate_world
 from repro.nn import compute_dtype
+from repro.obs.metrics import parse_metric_key
 from repro.parallel import (
     AnnotatorPool,
     AttachedArrays,
@@ -435,6 +441,151 @@ class TestPoolFaultTolerance:
         assert "unknown task kind" in excinfo.value.task_errors[0]
 
 
+# ----------------------------------------------------------------------
+# Worker telemetry: one shipment per task reply
+# ----------------------------------------------------------------------
+@contextmanager
+def _observed_pool(annotator, workers=2):
+    """An observed pool at its defaults, over fresh owner instruments."""
+    with obs.scope(fresh=True) as (metrics, tracer):
+        with compute_dtype(np.float32):
+            pool = AnnotatorPool.from_annotator(annotator, workers=workers)
+        assert not pool.serial, "pool fell back to serial unexpectedly"
+        try:
+            yield pool, metrics
+        finally:
+            pool.close()
+
+
+def _chunk_counts(metrics):
+    """Owner-registry ``parallel.pool.chunks`` per worker rank."""
+    counts = {}
+    for key, value in metrics.to_dict()["counters"].items():
+        name, labels = parse_metric_key(key)
+        if name == "parallel.pool.chunks" and "worker" in labels:
+            counts[int(labels["worker"])] = value
+    return counts
+
+
+def _worker_chunk_seconds(metrics):
+    """Owner-registry ``parallel.pool.chunk_seconds`` per worker rank."""
+    return {
+        int(labels["worker"]): summary
+        for key, summary in metrics.to_dict()["histograms"].items()
+        for name, labels in [parse_metric_key(key)]
+        if name == "parallel.pool.chunk_seconds" and "worker" in labels
+    }
+
+
+class TestPoolTelemetry:
+    def test_worker_series_visible_mid_run(self, annotator, texts):
+        with _observed_pool(annotator) as (pool, metrics):
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts[:8], chunk_size=2)
+            # Replies are merged into the owner registry as they are
+            # read, so its worker series exist while the pool is open.
+            workers = _chunk_counts(metrics)
+            assert workers, "no worker shipment reached the owner"
+            assert set(_worker_chunk_seconds(metrics)) == set(workers)
+
+    def test_single_chunk_snapshot_visible_when_call_returns(
+        self, annotator, texts
+    ):
+        # Regression: workers queued a task's shipment after its result,
+        # and a call returns on its last result, so after a one-chunk
+        # call the owner missed the only task that ran.
+        with _observed_pool(annotator) as (pool, metrics):
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts[:4], chunk_size=4)
+            counts = _chunk_counts(metrics)
+            assert len(counts) == 1, "the chunk's shipment missed the call"
+            assert sum(counts.values()) == 1
+
+    def test_every_shipment_merged_exactly_once(self, annotator, texts):
+        # More workers than a 2-vCPU box has cores, so replies from
+        # different workers arrive interleaved.
+        with _observed_pool(annotator, workers=3) as (pool, metrics):
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts, chunk_size=1)
+            # 18 mention-bearing texts plan to 5 batches of 4, one batch
+            # per task.
+            dispatched = metrics.counter("parallel.pool.tasks").value
+            assert dispatched == 5
+
+            def assert_exact():
+                assert sum(_chunk_counts(metrics).values()) == dispatched
+                # Each worker observed the seconds its reply carries, and
+                # the owner observed them again unlabelled: the merged
+                # worker histograms must add up to the owner's.
+                owner = metrics.to_dict()["histograms"][
+                    "parallel.pool.chunk_seconds"
+                ]
+                shipped = _worker_chunk_seconds(metrics).values()
+                assert sum(h["count"] for h in shipped) == owner["count"]
+                assert min(h["min"] for h in shipped) == owner["min"]
+                assert max(h["max"] for h in shipped) == owner["max"]
+                assert sum(h["sum"] for h in shipped) == pytest.approx(
+                    owner["sum"], rel=1e-12
+                )
+
+            # The owner has every chunk the moment the call returns...
+            assert_exact()
+            # ...and closing the pool adds nothing twice.
+            pool.close()
+            assert_exact()
+
+    def test_dead_worker_telemetry_recovered(self, annotator, texts):
+        # Regression: a worker SIGKILLed after doing work must still be
+        # represented in the owner metrics — each reply's shipment was
+        # merged when the reply was read, so the kill loses nothing it
+        # had replied.
+        with _observed_pool(annotator) as (pool, metrics):
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts[:12], chunk_size=2)
+            shipped = set(_chunk_counts(metrics))
+            assert shipped, "no worker shipment reached the owner"
+            victim = sorted(shipped)[0]
+            os.kill(pool.worker_pids()[victim], signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while (
+                pool._procs[victim].is_alive()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            assert not pool._procs[victim].is_alive()
+            pool.close()
+            summary = _worker_chunk_seconds(metrics).get(victim)
+            assert summary is not None and summary["count"] >= 1
+
+    def test_serial_pool_has_no_worker_series(self, annotator, texts):
+        with obs.scope(fresh=True) as (metrics, _tracer):
+            pool = AnnotatorPool.from_annotator(annotator, workers=1)
+            try:
+                assert pool.serial
+                pool.annotate_batch(texts[:4])
+                assert _chunk_counts(metrics) == {}
+                assert _worker_chunk_seconds(metrics) == {}
+                assert pool.worker_pids() == []
+            finally:
+                pool.close()
+
+    def test_unobserved_pool_registers_nothing(self, annotator, texts):
+        # No shipments and no merges: the owner records nothing at all.
+        assert obs.enabled is False
+        obs.reset()
+        with compute_dtype(np.float32):
+            pool = AnnotatorPool.from_annotator(annotator, workers=2)
+        try:
+            with compute_dtype(np.float32):
+                pool.annotate_batch(texts[:8], chunk_size=2)
+        finally:
+            pool.close()
+        assert obs.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        assert obs.tracer.roots == []
+
+
 class TestWorkerZeroCopy:
     def test_worker_runtime_reads_the_shared_block_in_place(self, pool):
         """A rehydrated worker holds views of the shm block, not copies.
@@ -519,7 +670,8 @@ lock = getattr(obs, instrument)._lock
 held, release = threading.Event(), threading.Event()
 
 def hold():
-    # A /metrics scrape or a sampler tick, caught mid-way by fork().
+    # Another caller thread creating a metric or opening a root span,
+    # caught mid-way by fork().
     with lock:
         held.set()
         release.wait()

@@ -1,4 +1,4 @@
-"""Decision provenance: recorder semantics, pooled merge, CLI, endpoint.
+"""Decision provenance: recorder semantics, pooled merge, CLI.
 
 The identity tests matter most: provenance is an observer, so turning
 it on must never change a single prediction, serial or pooled. ``make
@@ -11,7 +11,6 @@ import json
 import os
 import signal
 import time
-import urllib.request
 from contextlib import contextmanager
 
 import numpy as np
@@ -355,9 +354,9 @@ def annotations_equal(a, b):
 @needs_shm
 class TestPooledProvenance:
     @contextmanager
-    def _pool(self, annotator, **kwargs):
+    def _pool(self, annotator):
         with compute_dtype(np.float32):
-            pool = AnnotatorPool.from_annotator(annotator, workers=2, **kwargs)
+            pool = AnnotatorPool.from_annotator(annotator, workers=2)
         assert not pool.serial, "pool fell back to serial unexpectedly"
         try:
             yield pool
@@ -433,42 +432,33 @@ class TestPooledProvenance:
                 observed = pool.annotate_batch(texts, chunk_size=2)
         annotations_equal(plain, observed)
 
-    def test_live_provenance_visible_mid_run_and_over_http(
-        self, annotator, texts
-    ):
-        from repro.obs.exporter import TelemetryServer
-
+    def test_pooled_rows_in_owner_when_call_returns(self, annotator, texts):
+        # Each reply carries its task's records, stored in the owner's
+        # recorder as the reply is read: every row is there when the
+        # call returns, and closing the pool adds none.
         with _capture() as recorder:
-            with self._pool(annotator, telemetry_interval=0.0) as pool:
-                pool.annotate_batch(texts[:8], chunk_size=2)
-                # Shipped rows are stored in the owner's recorder on
-                # arrival, so they are there while the pool is open.
+            with self._pool(annotator) as pool:
+                annotated = pool.annotate_batch(texts[:8], chunk_size=2)
                 rows = provenance.snapshot_records()
-                assert rows, "no worker shipped provenance mid-run"
+                assert {
+                    (row["sentence_id"], row["mention_index"]) for row in rows
+                } == {
+                    (doc, index)
+                    for doc, mentions in enumerate(annotated)
+                    for index in range(len(mentions))
+                }
                 assert all(row["worker"] >= 0 for row in rows)
-                server = TelemetryServer(port=0).start()
-                try:
-                    with urllib.request.urlopen(
-                        f"{server.url}/provenance", timeout=5
-                    ) as response:
-                        body = json.loads(response.read())
-                finally:
-                    server.stop()
-                assert body["active"] is True
-                assert body["num_records"] == len(rows)
-                assert body["records"] == rows
-            # The final shipments at close carry nothing new.
             assert len(recorder) == len(rows)
 
     def test_crashed_worker_last_shipped_records_survive(
         self, annotator, texts
     ):
-        # Mirror of the dead-worker telemetry recovery: interval=0 ships
-        # after every task and the owner stores each shipment on
-        # arrival, so a SIGKILLed worker's shipped records stay in the
-        # owner's recorder through close.
+        # Mirror of the dead-worker telemetry recovery: each reply
+        # carries its task's records and the owner stores them as it
+        # reads the reply, so a SIGKILLed worker's replied records stay
+        # in the owner's recorder through close.
         with _capture() as recorder:
-            with self._pool(annotator, telemetry_interval=0.0) as pool:
+            with self._pool(annotator) as pool:
                 pool.annotate_batch(texts[:12], chunk_size=2)
                 shipped = {record.worker for record in recorder.records()}
                 assert shipped, "no worker shipped provenance"

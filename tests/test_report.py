@@ -431,15 +431,17 @@ class TestCliReport:
         assert code == 0
         assert obs.enabled is False, "CLI must disable obs after export"
 
-        # Exported metrics carry per-worker chunk histograms for every
-        # worker, merged from the workers' shipped snapshots.
+        # Exported metrics, and the report's, carry per-worker chunk
+        # histograms for every worker, merged from the workers' replies.
         metrics = json.loads(metrics_json.read_text())
-        workers = {
-            parse_metric_key(key)[1].get("worker")
-            for key in metrics["histograms"]
-            if parse_metric_key(key)[0] == "parallel.pool.chunk_seconds"
-        }
-        assert {"0", "1"} <= workers
+        report = RunReport.load(report_json)
+        for snapshot in (metrics, report.metrics):
+            workers = {
+                parse_metric_key(key)[1].get("worker")
+                for key in snapshot["histograms"]
+                if parse_metric_key(key)[0] == "parallel.pool.chunk_seconds"
+            }
+            assert {"0", "1"} <= workers
         assert "eval.slice_f1{slice=all}" in metrics["gauges"]
 
         # One Chrome trace spanning at least owner + one worker pid.
@@ -448,7 +450,6 @@ class TestCliReport:
         assert len(pids) >= 2
 
         # The report round-trips and carries the popularity slices.
-        report = RunReport.load(report_json)
         assert report.name == "evaluate:test"
         assert report.config["workers"] == 2
         assert "all" in report.slices
@@ -469,6 +470,19 @@ class TestCliReport:
                 "--split", "test", flag, str(tmp_path / "report"),
             ]) == 0
             assert obs.enabled is False, flag
+
+    def test_flags_off_by_default(self, artifacts):
+        _, world_path, corpus_path, model_path = artifacts
+        obs.reset()
+        assert cli.main([
+            "evaluate", "--world", str(world_path),
+            "--corpus", str(corpus_path), "--model", str(model_path),
+            "--split", "val",
+        ]) == 0
+        assert obs.enabled is False
+        assert obs.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
 
     def test_report_show_and_html(self, artifacts, tmp_path, capsys):
         root, _, _, _ = artifacts
